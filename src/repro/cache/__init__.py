@@ -1,7 +1,7 @@
 """Cache subsystem: arrays, lines, protocols, the snooping controller."""
 
 from .array import CacheArray, CacheGeometry
-from .controller import CacheController, SnoopDecision
+from .controller import CacheController
 from .line import CacheLine, State
 from .protocols import (
     PROTOCOLS,
@@ -21,7 +21,6 @@ __all__ = [
     "CacheArray",
     "CacheGeometry",
     "CacheController",
-    "SnoopDecision",
     "CacheLine",
     "State",
     "CoherenceProtocol",

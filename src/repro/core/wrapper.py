@@ -17,6 +17,10 @@ handled; the native cache FSMs are untouched.  Three duties:
    processor's own in-flight (possibly backed-off) transaction holds —
    the paper's "retries the transaction instead of draining" behaviour
    that underlies the Fig 4 hardware deadlock.
+
+Duties 1 and 2 are the coherence step of :mod:`repro.core.coherence`,
+which the controller executes under this wrapper's policy; the wrapper
+turns the step's outcome into the bus reply and runs duty 3.
 """
 
 from __future__ import annotations
@@ -25,26 +29,14 @@ from collections import deque
 from typing import Deque, Optional, Tuple
 
 from ..bus.asb import AsbBus, Snooper
-from ..bus.types import BusOp, SnoopAction, SnoopReply, Transaction
-from ..cache.controller import CacheController, SnoopDecision
+from ..bus.types import SnoopAction, SnoopReply, Transaction
+from ..cache.controller import CacheController
 from ..cache.line import State
-from ..cache.protocols.base import SnoopOp
 from ..errors import IntegrationError
 from ..sim import Event, Simulator
-from .reduction import SharedMode, WrapperPolicy
+from .reduction import WrapperPolicy
 
 __all__ = ["Wrapper"]
-
-_BUS_TO_SNOOP = {
-    BusOp.READ: SnoopOp.READ,
-    BusOp.READ_LINE: SnoopOp.READ,
-    BusOp.READ_LINE_EXCL: SnoopOp.READ_EXCL,
-    BusOp.WRITE: SnoopOp.WRITE,
-    BusOp.WRITE_LINE: SnoopOp.WRITE,
-    BusOp.SWAP: SnoopOp.WRITE,
-    BusOp.INVALIDATE: SnoopOp.INVALIDATE,
-    BusOp.UPDATE: SnoopOp.UPDATE,
-}
 
 
 class Wrapper(Snooper):
@@ -67,7 +59,6 @@ class Wrapper(Snooper):
         self.policy = policy
         self.bus = bus
         self.master_name = controller.name
-        controller.shared_filter = self._shared_filter
         self._drain_queue: Deque[Tuple[int, State, Event]] = deque()
         self._drain_wakeup: Optional[Event] = None
         self._worker = sim.process(
@@ -75,45 +66,27 @@ class Wrapper(Snooper):
         )
         bus.attach_snooper(self)
 
-    # -- fill path ---------------------------------------------------------
-    def _shared_filter(self, actual: bool) -> bool:
-        if self.policy.shared_mode is SharedMode.ALWAYS:
-            return True
-        if self.policy.shared_mode is SharedMode.NEVER:
-            return False
-        return actual
+    @property
+    def policy(self) -> WrapperPolicy:
+        """The conversion policy; the controller executes it on both paths."""
+        return self.controller.policy
+
+    @policy.setter
+    def policy(self, policy: WrapperPolicy) -> None:
+        self.controller.policy = policy
 
     # -- snoop path -----------------------------------------------------------
     def snoop(self, txn: Transaction) -> SnoopReply:
-        op = _BUS_TO_SNOOP[txn.op]
-        if self.policy.convert_read_to_write and op in (
-            SnoopOp.READ,
-            SnoopOp.READ_EXCL,
-        ):
-            # Fig 1: the snooping cache is told this is a write; the
-            # memory controller still sees the true operation.  RWITM
-            # converts too — a policy that forbids cache-to-cache supply
-            # must see a dirty hit drain to memory, never intervene.
-            op = SnoopOp.WRITE
-        data = txn.data if op is SnoopOp.UPDATE else None
-        decision = self.controller.snoop_decision(op, txn.addr, data=data)
-        if decision.kind == SnoopDecision.MISS:
-            return SnoopReply.OK
-        if decision.kind == SnoopDecision.DRAIN:
+        outcome, data = self.controller.snoop_decision(txn)
+        action = outcome.action
+        if action is SnoopAction.RETRY:
             completion = self.sim.event()
-            self._drain_queue.append((txn.addr, decision.drain_next_state, completion))
+            self._drain_queue.append((txn.addr, outcome.next_state, completion))
             self._kick_worker()
-            return SnoopReply(SnoopAction.RETRY, completion=completion)
-        if decision.kind == SnoopDecision.SUPPLY:
-            if not self.policy.allow_supply:
-                raise IntegrationError(
-                    f"{self.master_name}: protocol attempted cache-to-cache "
-                    "supply but the wrapper policy forbids it (reduction bug)"
-                )
-            return SnoopReply(SnoopAction.SUPPLY, supply_data=decision.supply_data)
-        if decision.assert_shared:
-            return SnoopReply(SnoopAction.SHARED)
-        return SnoopReply.OK
+            return SnoopReply(action, completion=completion)
+        if action is SnoopAction.SUPPLY:
+            return SnoopReply(action, supply_data=data)
+        return SnoopReply.OK if action is SnoopAction.OK else SnoopReply(action)
 
     # -- drain worker --------------------------------------------------------
     def _kick_worker(self) -> None:

@@ -38,7 +38,7 @@ from collections import deque
 from typing import Deque, Dict, Generator, Optional
 
 from ..bus.asb import TenureState
-from ..bus.types import BusResult, Priority, SnoopAction, Transaction
+from ..bus.types import BusResult, Priority, Transaction
 from ..sim import Event
 from .atomic import AtomicFabric
 from .interfaces import FabricCapabilities
@@ -161,42 +161,16 @@ class SplitBus(AtomicFabric):
                         sim.now, txn.master, "address-phase",
                         op=txn.op.value, addr=txn.addr, retry_no=txn.retries,
                     )
-                replies = self._snoop_window(txn)
-                retriers = [
-                    (name, r) for name, r in replies if r.action is SnoopAction.RETRY
-                ]
+                retriers, shared, supplier = self._snoop_window(txn)
                 if retriers:
                     # ARTRY semantics as on the atomic bus: the address
                     # tenure aborts; no data slot was consumed.
-                    self.stats.bump("bus.retries")
-                    if trace.enabled:
-                        trace.emit(sim.now, txn.master, "artry", addr=txn.addr)
-                    if self.retry_penalty_cycles:
-                        yield sim.timeout(self.clock.cycles(self.retry_penalty_cycles))
-                    aborted = sim.now - tenure_start
-                    self.stats.bump("bus.busy_ticks", aborted)
-                    self.stats.bump(f"bus.busy.{txn.master}", aborted)
+                    yield from self._abort_tenure(txn, tenure_start)
                     self.arbiter.release(txn.master)
                     held = False
-                    txn.retries += 1
-                    state.retries = txn.retries
-                    self._check_retry_ceiling(txn)
-                    state.phase = "backed-off"
-                    state.since = sim.now
-                    state.waiting_on = tuple(name for name, _ in retriers)
-                    yield sim.all_of([r.completion for _, r in retriers])
-                    state.waiting_on = ()
-                    state.phase = "arbitrating"
-                    state.since = sim.now
+                    yield from self._await_drains(txn, state, retriers)
                     priority = Priority.RETRY
                     continue
-                shared = any(
-                    r.action in (SnoopAction.SHARED, SnoopAction.SUPPLY)
-                    for _, r in replies
-                )
-                supplier = next(
-                    (r for _, r in replies if r.action is SnoopAction.SUPPLY), None
-                )
                 # Coherence commit point: data movement and the
                 # master's state flip happen *now*, at the end of the
                 # address phase with the address bus held — identical

@@ -38,6 +38,7 @@ HOT_MODULES = (
     "cache/array.py",
     "bus/types.py",
     "bus/asb.py",
+    "core/coherence.py",
 )
 
 _EXEMPT_BASES = {

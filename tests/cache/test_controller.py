@@ -2,15 +2,14 @@
 
 import pytest
 
-from repro.bus import AsbBus, BusOp, Priority, Transaction
+from repro.bus import AsbBus, BusOp, Priority, SnoopAction, Transaction
 from repro.cache import (
     CacheController,
     CacheGeometry,
-    SnoopDecision,
-    SnoopOp,
     State,
     make_protocol,
 )
+from repro.core.coherence import MISS
 from repro.errors import ProtocolError
 from repro.mem import (
     MainMemory,
@@ -206,33 +205,39 @@ class TestCacheOps:
         assert sorted(controller.cached_addresses()) == [0x100, 0x200]
 
 
+def snooped(op, addr, **kwargs):
+    return Transaction(op, addr, "peer", **kwargs)
+
+
 class TestSnoopDecision:
     def test_miss(self):
         _sim, _memory, _bus, controller = make_setup()
-        decision = controller.snoop_decision(SnoopOp.READ, 0x100)
-        assert decision.kind == SnoopDecision.MISS
+        outcome, data = controller.snoop_decision(snooped(BusOp.READ_LINE, 0x100))
+        assert outcome is MISS
+        assert data is None
 
     def test_clean_read_commits_shared(self):
         sim, _memory, _bus, controller = make_setup()
         run(sim, controller.read(0x100))  # E
-        decision = controller.snoop_decision(SnoopOp.READ, 0x100)
-        assert decision.kind == SnoopDecision.OK
-        assert decision.assert_shared
+        outcome, _data = controller.snoop_decision(snooped(BusOp.READ_LINE, 0x100))
+        assert outcome.action is SnoopAction.SHARED
         assert controller.line_state(0x100) is State.SHARED
 
     def test_dirty_read_defers_commit(self):
         sim, _memory, _bus, controller = make_setup()
         run(sim, controller.write(0x100, 1))  # M
-        decision = controller.snoop_decision(SnoopOp.READ, 0x100)
-        assert decision.kind == SnoopDecision.DRAIN
-        assert decision.drain_next_state is State.SHARED
+        outcome, _data = controller.snoop_decision(snooped(BusOp.READ_LINE, 0x100))
+        assert outcome.action is SnoopAction.RETRY
+        assert outcome.next_state is State.SHARED
         assert controller.line_state(0x100) is State.MODIFIED  # unchanged
 
     def test_write_snoop_invalidates(self):
         sim, _memory, _bus, controller = make_setup()
         run(sim, controller.read(0x100))
-        decision = controller.snoop_decision(SnoopOp.WRITE, 0x104)
-        assert decision.kind == SnoopDecision.OK
+        outcome, _data = controller.snoop_decision(
+            snooped(BusOp.WRITE, 0x104, data=0)
+        )
+        assert outcome.action is SnoopAction.OK
         assert controller.line_state(0x100) is State.INVALID
 
     def test_moesi_supply(self):
@@ -240,9 +245,9 @@ class TestSnoopDecision:
         memory.load(0x100, [11])
         run(sim, controller.read(0x100))
         run(sim, controller.write(0x100, 12))
-        decision = controller.snoop_decision(SnoopOp.READ, 0x100)
-        assert decision.kind == SnoopDecision.SUPPLY
-        assert decision.supply_data[0] == 12
+        outcome, data = controller.snoop_decision(snooped(BusOp.READ_LINE, 0x100))
+        assert outcome.action is SnoopAction.SUPPLY
+        assert data[0] == 12
         assert controller.line_state(0x100) is State.OWNED
 
 

@@ -5,6 +5,7 @@ import pytest
 from repro.bus import BusOp, SnoopAction, Transaction
 from repro.cache import State
 from repro.core import Platform, PlatformConfig, SharedMode, Wrapper, WrapperPolicy
+from repro.core.coherence import step_for
 from repro.cpu import preset_arm920t, preset_generic
 from repro.errors import IntegrationError
 
@@ -57,26 +58,32 @@ class TestSnoopConversion:
         assert mesi.line_state(SHARED) is State.INVALID  # converted: no S
 
 
+def fill_step(platform, index):
+    """The coherence step a wrapper's controller fills through."""
+    wrapper = platform.wrappers[index]
+    return step_for(wrapper.controller.protocol, wrapper.policy)
+
+
 class TestSharedFilter:
     def test_never_mode_fills_exclusive(self):
         platform = make_pair("MESI", "MEI")
         assert platform.wrappers[0].policy.shared_mode is SharedMode.NEVER
-        assert platform.wrappers[0]._shared_filter(True) is False
+        assert fill_step(platform, 0).shared(True) is False
 
     def test_always_mode_fills_shared(self):
         platform = make_pair("MSI", "MESI")
         mesi_wrapper = platform.wrappers[1]
         assert mesi_wrapper.policy.shared_mode is SharedMode.ALWAYS
-        assert mesi_wrapper._shared_filter(False) is True
+        assert fill_step(platform, 1).shared(False) is True
         mesi = platform.controller("p2")
         drive(platform, mesi.read(SHARED))
         assert mesi.line_state(SHARED) is State.SHARED
 
     def test_native_mode_passthrough(self):
         platform = make_pair("MESI", "MESI")
-        wrapper = platform.wrappers[0]
-        assert wrapper._shared_filter(True) is True
-        assert wrapper._shared_filter(False) is False
+        step = fill_step(platform, 0)
+        assert step.shared(True) is True
+        assert step.shared(False) is False
 
 
 class TestGuards:

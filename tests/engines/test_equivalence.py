@@ -15,9 +15,10 @@ drain paths are compared, not just the hit fast path.
 
 import pytest
 
-from repro.core.platform import PlatformConfig
+from repro.core.platform import SHARED_BASE, PlatformConfig
 from repro.cpu.presets import preset_generic, preset_intel486
-from repro.engines import get_engine, serialize_workload
+from repro.engines import get_engine, serialize_traces, serialize_workload
+from repro.workloads.tracegen import hotspot_trace
 
 #: timing-only counters the statistics-only engines do not model
 TIMING_PREFIXES = ("bus.busy",)
@@ -55,13 +56,17 @@ def _pair_config(p0, p1):
 
 
 def assert_equivalent(config, workload):
-    accesses = serialize_workload(workload)
+    assert_same_replay(config, serialize_workload(workload))
+
+
+def assert_same_replay(config, accesses):
     exact = get_engine("exact").run(config, accesses)
     batch = get_engine("batch").run(config, accesses)
     assert batch.accesses == exact.accesses == len(accesses)
     assert _strip_timing(batch.stats) == _strip_timing(exact.stats)
     assert batch.line_states == exact.line_states
     assert batch.values == exact.values
+    return exact
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -108,3 +113,46 @@ def test_software_coherence_mode():
     )
     assert_equivalent(config, {"kind": "hotspot", "n": 100,
                                "footprint_words": 32, "seed": 2})
+
+
+def _shared_hotspot(config, per_master, seed):
+    # One shared footprint twice a cache's size, so lines are both
+    # contended by several masters and evicted.
+    footprint = 2 * config.cores[0].cache_size // 4
+    traces = {
+        p: hotspot_trace(per_master, footprint, proc=p, base=SHARED_BASE,
+                         seed=seed * 16 + p)
+        for p in range(len(config.cores))
+    }
+    return serialize_traces(traces)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_eight_master_mixed_storm(seed):
+    # Eight masters cycling the four reducible protocols behind their
+    # reduction wrappers (the system reduces to MEI): every window
+    # snoops seven caches, dirty hits drain under the port-free policy.
+    protocols = ("MESI", "MOESI", "MSI", "MEI")
+    config = PlatformConfig(
+        cores=tuple(
+            preset_generic(f"p{i}", protocols[i % 4], cache_size=1024)
+            .with_(cache_ways=2)
+            for i in range(8)
+        ),
+        drain_policy="window",
+    )
+    exact = assert_same_replay(config, _shared_hotspot(config, 120, seed))
+    assert exact.stats["bus.retries"] > 0
+
+
+def test_four_moesi_multi_sharer_supply():
+    # Homogeneous MOESI keeps cache-to-cache supply: an owner answers
+    # in the same window as several sharers asserting SHARED.
+    config = PlatformConfig(
+        cores=tuple(
+            preset_generic(f"p{i}", "MOESI", cache_size=1024).with_(cache_ways=2)
+            for i in range(4)
+        ),
+    )
+    exact = assert_same_replay(config, _shared_hotspot(config, 200, 4))
+    assert exact.stats["bus.c2c_supplies"] > 0

@@ -20,7 +20,7 @@ from repro.core import SHARED_BASE, Platform, PlatformConfig
 from repro.core.reduction import SharedMode, WrapperPolicy
 from repro.cpu import preset_generic
 from repro.verify import CoherenceChecker
-from repro.verify.model_check import _PairModel, check_pair
+from repro.verify.model_check import _SystemModel, check_pair
 from repro.cache.line import State
 
 PROTOCOLS = ("MEI", "MSI", "MESI", "MOESI")
@@ -45,7 +45,7 @@ def model_verdict(p0, p1, policies):
 
     from repro.verify.model_check import ModelState, _swmr_violated
 
-    model = _PairModel((p0, p1), policies)
+    model = _SystemModel((p0, p1), policies)
     initial = ModelState((State.INVALID, State.INVALID), (False, False), True)
     seen = {initial}
     queue = deque([initial])
@@ -88,13 +88,6 @@ def simulator_verdict(p0, p1, policies):
     platform.sim.run(detect_deadlock=False)
     checker.check_all_lines()
     return checker.clean
-
-
-def _supply_ok(name, policy):
-    # Mirror the wrapper's runtime guard: a MOESI member whose policy
-    # does not convert may supply; conversion turns supply paths into
-    # drains, so any combination is executable.
-    return True
 
 
 @settings(
