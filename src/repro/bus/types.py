@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Any, List, Optional, Sequence, Union
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from ..errors import BusError
 
@@ -37,6 +37,7 @@ __all__ = [
     "Transaction",
     "SnoopAction",
     "SnoopReply",
+    "resolve_window",
     "BusResult",
 ]
 
@@ -149,6 +150,36 @@ class SnoopReply:
 
 # Singleton "no involvement" reply shared by every snooper.
 SnoopReply.OK = SnoopReply(SnoopAction.OK)  # type: ignore[attr-defined]
+
+# Enum member access goes through EnumType's attribute hook; bind once.
+_RETRY, _SUPPLY, _SHARED = SnoopAction.RETRY, SnoopAction.SUPPLY, SnoopAction.SHARED
+
+
+def resolve_window(window: Sequence[tuple]) -> Tuple[List[tuple], bool, Optional[tuple]]:
+    """Combine one address phase into ``(retriers, shared, supplier)``.
+
+    ``window`` holds ``(responder, reply)`` pairs in snoop order.  Only
+    ``reply.action`` is read, so bus replies and step outcomes combine
+    alike.  Any RETRY pair aborts the tenure (ARTRY) and ``retriers``
+    lists them all.  Otherwise SHARED is the wired-OR of every SHARED
+    or SUPPLY reply, and ``supplier`` is the first SUPPLY pair (None
+    when memory supplies the data).  One plain loop: the batch engine
+    resolves a window per bus operation.
+    """
+    retriers = []
+    shared = False
+    supplier = None
+    for pair in window:
+        action = pair[1].action
+        if action is _RETRY:
+            retriers.append(pair)
+        elif action is _SUPPLY:
+            shared = True
+            if supplier is None:
+                supplier = pair
+        elif action is _SHARED:
+            shared = True
+    return retriers, shared, supplier
 
 
 @dataclass(frozen=True, slots=True)

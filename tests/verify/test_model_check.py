@@ -4,10 +4,15 @@ import itertools
 
 import pytest
 
-from repro.cache import State
+from repro.cache import MESIProtocol, State
+from repro.cache.protocols.base import SnoopOp, SnoopOutcome
+from repro.core.coherence import step_for
+from repro.core.reduction import WrapperPolicy
+from repro.errors import ProtocolError
 from repro.verify.model_check import (
     CheckResult,
     ModelState,
+    _SystemModel,
     check_matrix,
     check_pair,
     check_system,
@@ -190,3 +195,38 @@ class TestDirectoryMode:
             present=(True, False),
         )
         assert "dir:" in state.describe()
+
+
+class _DrainFromClean(MESIProtocol):
+    """S --READ--> drain back to S: the re-run window drains again."""
+
+    def snoop(self, state, op):
+        if state is State.SHARED and op is SnoopOp.READ:
+            return SnoopOutcome(State.SHARED, drain=True, assert_shared=True)
+        return super().snoop(state, op)
+
+
+class _DrainToDirty(MESIProtocol):
+    """M --READ--> drain to M: the pushed line is still dirty."""
+
+    def snoop(self, state, op):
+        if state is State.MODIFIED and op is SnoopOp.READ:
+            return SnoopOutcome(State.MODIFIED, drain=True)
+        return super().snoop(state, op)
+
+
+class TestDefectiveFsm:
+    """A drain that leaves a draining line stops the checker, never hangs it."""
+
+    @pytest.mark.parametrize(
+        "mutant,state",
+        [(_DrainFromClean, State.SHARED), (_DrainToDirty, State.MODIFIED)],
+    )
+    def test_second_drain_raises(self, mutant, state):
+        model = _SystemModel(("MESI", "MESI"), (WrapperPolicy(), WrapperPolicy()))
+        model.protocols = (mutant(), model.protocols[1])
+        model.steps = (step_for(model.protocols[0], WrapperPolicy()), model.steps[1])
+        start = ModelState((state, State.INVALID), (True, False), True, ())
+        with pytest.raises(ProtocolError, match="P0: MESI demanded a second drain"):
+            model.step(start, "read1")
+
