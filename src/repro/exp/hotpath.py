@@ -5,48 +5,37 @@ the event kernel, the cache tag array, and the tracing fabric — plus
 the end-to-end wall time of a fixed Table-2 workload (the MESI + MEI
 protocol pair of the paper's Table 2 running the WCS critical-section
 kernel) and the cross-engine throughput of the reference workload
-(exact vs batch, see ``docs/engines.md``).  Results are written to
-``BENCH_hotpath.json`` at the repo root so successive PRs accumulate a
-performance trajectory, and the CI ``perf-smoke`` job fails on
-regressions against the committed baseline.
+(exact vs batch, see ``docs/engines.md``).  ``repro bench hotpath``
+writes the results to ``BENCH_hotpath.json`` at the repo root so
+successive PRs accumulate a performance trajectory (the replaced
+numbers are kept under ``previous``), and the CI ``perf-smoke`` job
+fails on regressions against the committed baseline.
 
 Result documents are **schema 2**: tagged with the execution engine
 (name, version, native build or not) and the Python implementation.
 Perf numbers are only comparable like-for-like — a pure-Python
 baseline checked against a native-build run, or an exact baseline
 against a batch run, would "regress" or "improve" meaninglessly — so
-:func:`baseline_mismatch` refuses cross-engine and cross-implementation
-comparisons, and the check paths exit with status 2 on them.
-
-The functions here are import-safe for both the ``benchmarks/`` script
-and the ``repro bench hotpath`` CLI subcommand; they depend only on the
-standard library and the package itself.
+:func:`repro.exp.bench.baseline_mismatch` refuses cross-engine and
+cross-implementation comparisons, and ``--check`` exits with status 2
+on them.
 """
 
 from __future__ import annotations
 
-import json
 import platform as _platform
 import sys
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict
 
 from ..cache.array import CacheArray, CacheGeometry
 from ..cache.line import State
 from ..cache.protocols import make_protocol
 from ..errors import ConfigError
 from ..sim import Simulator, Tracer
+from .bench import RATE, TIME, BenchSuite
 
-__all__ = [
-    "BENCH_FILE",
-    "run_suite",
-    "render_comparison",
-    "check_regression",
-    "baseline_mismatch",
-]
-
-#: canonical result file name (at the repository root)
-BENCH_FILE = "BENCH_hotpath.json"
+__all__ = ["SUITE", "run_suite"]
 
 #: metrics where larger is better (rates); wall times are inverted
 RATE_METRICS = (
@@ -133,24 +122,13 @@ def _array_lookups(n: int) -> float:
 # tracing
 # ---------------------------------------------------------------------------
 def _tracer_disabled_emits(n: int) -> float:
-    """n disabled-channel emissions as a component call site performs them.
-
-    Uses the cached channel-guard API when the tracer provides it (the
-    optimised call-site idiom); otherwise falls back to the legacy
-    unconditional ``emit`` call, which is what seed call sites paid.
-    """
-    tracer = Tracer(channels=())
-    if hasattr(tracer, "channel"):
-        ch = tracer.channel("bus")
-        start = time.perf_counter()
-        for i in range(n):
-            if ch.enabled:
-                ch.emit(i, "m0", "grant", op="rd", addr=i, retry_no=0)
-        return time.perf_counter() - start
-    emit = tracer.emit
+    """n disabled-channel emissions as a component call site performs
+    them: the cached channel guard, tested before every emit."""
+    ch = Tracer(channels=()).channel("bus")
     start = time.perf_counter()
     for i in range(n):
-        emit(i, "bus", "m0", "grant", op="rd", addr=i, retry_no=0)
+        if ch.enabled:
+            ch.emit(i, "m0", "grant", op="rd", addr=i, retry_no=0)
     return time.perf_counter() - start
 
 
@@ -275,95 +253,18 @@ def run_suite(
     }
 
 
-def speedups(current: Dict[str, Any], baseline: Dict[str, Any]) -> Dict[str, float]:
-    """Per-metric speedup of ``current`` over ``baseline`` (>1 is faster)."""
-    out: Dict[str, float] = {}
-    cur, base = current.get("metrics", {}), baseline.get("metrics", {})
-    for key in RATE_METRICS:
-        if key in cur and key in base and base[key]:
-            out[key] = cur[key] / base[key]
-    for key in TIME_METRICS:
-        if key in cur and key in base and cur[key]:
-            out[key] = base[key] / cur[key]
-    return out
-
-
-def render_comparison(current: Dict[str, Any], baseline: Optional[Dict[str, Any]]) -> str:
-    """Human-readable table of the run, against a baseline when given."""
-    engine = current.get("engine") or {}
-    tag = engine.get("name", "exact") + (
-        " native" if engine.get("native") else ""
-    )
-    lines = [
-        f"hotpath suite (quick={current.get('quick')}, "
-        f"py {current.get('python')}, engine {tag})"
-    ]
-    ratios = speedups(current, baseline) if baseline else {}
-    for key, value in current.get("metrics", {}).items():
-        if key in TIME_METRICS:
-            rendered = f"{value:.4f} s"
-        elif key.endswith("speedup_vs_exact"):
-            rendered = f"{value:>14,.1f} x"
-        else:
-            rendered = f"{value:>14,.0f} /s"
-        suffix = f"   {ratios[key]:.2f}x vs baseline" if key in ratios else ""
-        lines.append(f"  {key:<36} {rendered}{suffix}")
-    return "\n".join(lines)
-
-
-def baseline_mismatch(
-    current: Dict[str, Any], baseline: Dict[str, Any]
-) -> List[str]:
-    """Why ``current`` must not be perf-compared against ``baseline``.
-
-    Engine and Python-implementation tags must agree: a pure-Python run
-    against a native-build baseline (or CPython vs PyPy) would report a
-    "regression" that is really a platform difference.  Legacy schema-1
-    baselines carry no tags; absent fields are not treated as
-    mismatches so old baselines keep working until regenerated.
-    """
-    problems: List[str] = []
-    base_engine = (baseline.get("engine") or {}).get("name")
-    cur_engine = (current.get("engine") or {}).get("name")
-    if base_engine is not None and cur_engine is not None \
-            and base_engine != cur_engine:
-        problems.append(
-            f"baseline was recorded under engine {base_engine!r}, "
-            f"this run used {cur_engine!r}"
-        )
-    base_native = (baseline.get("engine") or {}).get("native")
-    cur_native = (current.get("engine") or {}).get("native")
-    if base_native is not None and cur_native is not None \
-            and base_native != cur_native:
-        problems.append(
-            f"baseline was recorded with native={base_native}, "
-            f"this run has native={cur_native}"
-        )
-    base_impl, cur_impl = baseline.get("impl"), current.get("impl")
-    if base_impl is not None and cur_impl is not None \
-            and base_impl != cur_impl:
-        problems.append(
-            f"baseline was recorded on {base_impl}, this run is on "
-            f"{cur_impl}"
-        )
-    return problems
-
-
-def check_regression(
-    current: Dict[str, Any], baseline: Dict[str, Any], tolerance: float = 0.25
-) -> list[str]:
-    """Metrics of ``current`` more than ``tolerance`` worse than baseline."""
-    failures = []
-    for key, ratio in speedups(current, baseline).items():
-        if ratio < 1.0 - tolerance:
-            failures.append(f"{key}: {ratio:.2f}x of baseline (floor {1.0 - tolerance:.2f}x)")
-    return failures
-
-
-def load_results(path: str) -> Optional[Dict[str, Any]]:
-    """Parse a previously written result file (None when absent)."""
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except (OSError, ValueError):
-        return None
+SUITE = BenchSuite(
+    name="hotpath",
+    bench_file="BENCH_hotpath.json",
+    run=run_suite,
+    rows="metrics",
+    key=("metric",),
+    checks={
+        **{metric: {"value": RATE} for metric in RATE_METRICS},
+        **{metric: {"value": TIME} for metric in TIME_METRICS},
+    },
+    columns=("value",),
+    tolerance=0.25,
+    options=("repeats", "engine"),
+    previous=("metrics", "python", "impl", "engine", "quick"),
+)

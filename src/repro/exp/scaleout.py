@@ -1,50 +1,66 @@
-"""Scale-out study: N masters under the three bus service disciplines.
+"""N-master sweeps: bus service disciplines and coherence fabrics.
 
 The paper evaluates two-master platforms; the wrapper methodology
-itself never assumes two.  This experiment measures what actually
-limits an N-master build of it: the shared bus.  For each master count
-and each NORMAL-band service discipline (FCFS, static per-master
-priority, round-robin — cf. arXiv:1004.3560's service-discipline
-comparison on a shared-bus multiprocessor) it runs a fixed contended
-false-sharing workload over a mixed-protocol platform (MESI / MOESI /
-MSI / MEI cycling across the masters, every one behind its reduction
-wrapper) and records:
+itself never assumes two.  These sweeps measure what limits an
+N-master build of it.  Both run one fixed contended false-sharing
+workload over the same mixed-protocol platform (MESI / MOESI / MSI /
+MEI cycling across the masters, every one behind its reduction
+wrapper) at 2/4/8/16 masters, and differ only in the
+:class:`PlatformConfig` field they vary:
+
+* ``scaleout`` varies the NORMAL-band service discipline of the shared
+  bus — FCFS, static per-master priority, round-robin (cf.
+  arXiv:1004.3560's service-discipline comparison on a shared-bus
+  multiprocessor);
+* ``fabrics`` varies the interconnect itself under round-robin
+  arbitration — the atomic snoopy ASB, the split-transaction bus and
+  the directory.
+
+Every point records:
 
 * ``elapsed_ns`` — simulated completion time of the whole workload;
-* ``bus_txns`` — completed bus tenures (coherence traffic volume);
+* ``bus_txns`` — completed tenures (coherence traffic volume; atomic
+  and split match exactly — the split bus pipelines occupancy, not
+  semantics — while the directory's differs because point-to-point
+  forwarding changes the ARTRY/drain interleaving);
 * ``grant_spread`` — max/min per-master grant counts: 1.0 is perfect
-  fairness, large values mean some master is being starved.
+  fairness, large values mean some master is being starved;
+
+and the fabric sweep adds ``busy_ticks``, the total channel occupancy.
+Its headline is the snoopy-vs-directory scaling gap: one broadcast bus
+serialises every address phase, so contended completion time grows
+steeply with masters, while the directory's per-home banks let
+disjoint lines proceed concurrently.
 
 Everything measured is *simulated* and therefore deterministic: the
-committed ``BENCH_scaleout.json`` is a golden file, and the CI smoke
-job compares against it exactly (no wall-clock tolerance needed).
+committed ``BENCH_scaleout.json`` and ``BENCH_fabrics.json`` are golden
+files, and ``repro bench {scaleout,fabrics} --check`` compares against
+them exactly (no wall-clock tolerance needed).
 """
 
 from __future__ import annotations
 
-import json
 import sys
-from typing import Any, Dict, List, Optional, Sequence
+from functools import partial
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.platform import Platform, PlatformConfig
 from ..cpu.presets import preset_generic
 from ..workloads.tracegen import false_sharing_traces, replay_parallel
+from .bench import EXACT, BenchSuite
 
 __all__ = [
-    "BENCH_FILE",
     "DISCIPLINES",
+    "FABRICS",
     "MASTER_COUNTS",
+    "SCALEOUT_SUITE",
+    "FABRICS_SUITE",
     "run_point",
     "run_suite",
-    "render_comparison",
-    "check_regression",
-    "load_results",
 ]
 
-#: canonical result file name (at the repository root)
-BENCH_FILE = "BENCH_scaleout.json"
-
 DISCIPLINES = ("fcfs", "priority", "round-robin")
+FABRICS = ("atomic", "split", "directory")
 MASTER_COUNTS = (2, 4, 8, 16)
 QUICK_MASTER_COUNTS = (2, 4, 8)
 
@@ -52,7 +68,27 @@ QUICK_MASTER_COUNTS = (2, 4, 8)
 _PROTOCOL_CYCLE = ("MESI", "MOESI", "MSI", "MEI")
 
 
-def _platform(n_masters: int, discipline: str) -> Platform:
+class _Sweep(NamedTuple):
+    #: the point field naming the varied setting
+    label: str
+    #: the PlatformConfig field it sets
+    field: str
+    values: Tuple[str, ...]
+    #: settings held fixed (recorded in the document's params)
+    fixed: Dict[str, str]
+    #: whether points record the channel occupancy
+    busy_ticks: bool
+
+
+_SWEEPS = {
+    "scaleout": _Sweep("discipline", "arbitration", DISCIPLINES, {}, False),
+    "fabrics": _Sweep(
+        "fabric", "fabric", FABRICS, {"arbitration": "round-robin"}, True
+    ),
+}
+
+
+def _platform(n_masters: int, **config: str) -> Platform:
     cores = tuple(
         preset_generic(f"p{i}", _PROTOCOL_CYCLE[i % len(_PROTOCOL_CYCLE)])
         for i in range(n_masters)
@@ -65,17 +101,19 @@ def _platform(n_masters: int, discipline: str) -> Platform:
         PlatformConfig(
             cores=cores,
             hardware_coherence=True,
-            arbitration=discipline,
             drain_policy="window",
+            **config,
         )
     )
 
 
 def run_point(
-    n_masters: int, discipline: str, accesses_per_master: int = 40
+    sweep: str, n_masters: int, value: str, accesses_per_master: int = 40
 ) -> Dict[str, Any]:
-    """One (master count, discipline) measurement."""
-    platform = _platform(n_masters, discipline)
+    """One measurement of ``sweep`` at ``n_masters`` with its varied
+    setting at ``value`` (a discipline or a fabric)."""
+    spec = _SWEEPS[sweep]
+    platform = _platform(n_masters, **spec.fixed, **{spec.field: value})
     traces = false_sharing_traces(
         accesses_per_master, procs=n_masters, lines=2, seed=11
     )
@@ -84,117 +122,99 @@ def run_point(
     spread = (
         max(counts.values()) / min(counts.values()) if counts else 0.0
     )
-    return {
+    point = {
         "masters": n_masters,
-        "discipline": discipline,
+        spec.label: value,
         "elapsed_ns": result.elapsed_ns,
         "bus_txns": result.bus_txns,
         "grant_spread": round(spread, 3),
     }
+    if spec.busy_ticks:
+        point["busy_ticks"] = platform.stats.get("bus.busy_ticks")
+    return point
 
 
 def run_suite(
+    sweep: str,
     quick: bool = False,
     master_counts: Optional[Sequence[int]] = None,
     accesses_per_master: int = 40,
 ) -> Dict[str, Any]:
-    """The full sweep; returns the result document.
+    """The full ``sweep``; returns the result document.
 
     ``quick`` drops the 16-master column (CI smoke); the per-point
     workload itself is fixed, so the surviving points stay comparable
     to a committed full-mode baseline.
     """
+    spec = _SWEEPS[sweep]
     counts = tuple(
         master_counts
         if master_counts is not None
         else (QUICK_MASTER_COUNTS if quick else MASTER_COUNTS)
     )
-    points: List[Dict[str, Any]] = []
-    for discipline in DISCIPLINES:
-        for n in counts:
-            points.append(run_point(n, discipline, accesses_per_master))
+    points: List[Dict[str, Any]] = [
+        run_point(sweep, n, value, accesses_per_master)
+        for value in spec.values
+        for n in counts
+    ]
     return {
         "schema": 1,
-        "suite": "scaleout",
+        "suite": sweep,
         "quick": bool(quick),
         "python": sys.version.split()[0],
         "params": {
             "master_counts": list(counts),
             "accesses_per_master": accesses_per_master,
             "protocol_cycle": list(_PROTOCOL_CYCLE),
+            **spec.fixed,
         },
         "points": points,
     }
 
 
-def _index(document: Dict[str, Any]) -> Dict[tuple, Dict[str, Any]]:
-    return {
-        (p["discipline"], p["masters"]): p
-        for p in document.get("points", [])
+def _fabric_headline(document: Dict[str, Any]) -> Optional[str]:
+    """The snoopy-vs-directory gap at the largest shared master count."""
+    index = {
+        (p["fabric"], p["masters"]): p for p in document.get("points", [])
     }
-
-
-def render_comparison(
-    current: Dict[str, Any], baseline: Optional[Dict[str, Any]] = None
-) -> str:
-    """The scaling figure, as an aligned text table per discipline."""
-    lines = [
-        f"scaleout suite (quick={current.get('quick')}, "
-        f"py {current.get('python')})",
-        f"  {'discipline':<12} {'masters':>7} {'elapsed_ns':>12} "
-        f"{'bus_txns':>9} {'spread':>7}",
-    ]
-    base = _index(baseline) if baseline else {}
-    for point in current.get("points", []):
-        key = (point["discipline"], point["masters"])
-        suffix = ""
-        if key in base:
-            ratio = (
-                point["elapsed_ns"] / base[key]["elapsed_ns"]
-                if base[key]["elapsed_ns"]
-                else 0.0
+    masters = sorted(
+        {p["masters"] for p in document.get("points", [])}, reverse=True
+    )
+    for n in masters:
+        snoopy = index.get(("atomic", n))
+        directory = index.get(("directory", n))
+        if snoopy and directory and directory["elapsed_ns"]:
+            ratio = snoopy["elapsed_ns"] / directory["elapsed_ns"]
+            return (
+                f"headline: at {n} masters the directory completes the "
+                f"contended workload {ratio:.2f}x faster than the "
+                f"snoopy bus ({directory['elapsed_ns']:,} ns vs "
+                f"{snoopy['elapsed_ns']:,} ns)"
             )
-            suffix = f"   {ratio:.2f}x baseline time"
-        lines.append(
-            f"  {point['discipline']:<12} {point['masters']:>7} "
-            f"{point['elapsed_ns']:>12,} {point['bus_txns']:>9,} "
-            f"{point['grant_spread']:>7.2f}{suffix}"
-        )
-    return "\n".join(lines)
+    return None
 
 
-def check_regression(
-    current: Dict[str, Any],
-    baseline: Dict[str, Any],
-    tolerance: float = 0.0,
-) -> List[str]:
-    """Points where ``current`` differs from the baseline.
+#: simulated metrics: any drift on a shared point is a behaviour change
+#: someone must have intended (and should re-baseline deliberately)
+_CHECKS = {"*": dict.fromkeys(("elapsed_ns", "bus_txns"), EXACT)}
 
-    The metrics are simulated quantities, so the default tolerance is
-    exact: any drift in completion time or traffic volume on a shared
-    point is a behaviour change someone must have intended (and should
-    re-baseline deliberately).
-    """
-    failures: List[str] = []
-    base = _index(baseline)
-    for point in current.get("points", []):
-        key = (point["discipline"], point["masters"])
-        if key not in base:
-            continue
-        for metric in ("elapsed_ns", "bus_txns"):
-            got, want = point[metric], base[key][metric]
-            if want and abs(got - want) > tolerance * want:
-                failures.append(
-                    f"{key[0]}@{key[1]} masters: {metric} {got:,} != "
-                    f"baseline {want:,}"
-                )
-    return failures
+SCALEOUT_SUITE = BenchSuite(
+    name="scaleout",
+    bench_file="BENCH_scaleout.json",
+    run=partial(run_suite, "scaleout"),
+    rows="points",
+    key=("discipline", "masters"),
+    checks=_CHECKS,
+    columns=("elapsed_ns", "bus_txns", "grant_spread"),
+)
 
-
-def load_results(path: str) -> Optional[Dict[str, Any]]:
-    """Parse a previously written result file (None when absent)."""
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except (OSError, ValueError):
-        return None
+FABRICS_SUITE = BenchSuite(
+    name="fabrics",
+    bench_file="BENCH_fabrics.json",
+    run=partial(run_suite, "fabrics"),
+    rows="points",
+    key=("fabric", "masters"),
+    checks=_CHECKS,
+    columns=("elapsed_ns", "bus_txns", "busy_ticks", "grant_spread"),
+    headline=_fabric_headline,
+)

@@ -1,4 +1,4 @@
-"""Service saturation study and smoke harness.
+"""Service saturation study.
 
 Three levels, each a fresh in-process service hammered by blocking
 clients on worker threads (the same stdlib :class:`~repro.service.
@@ -21,15 +21,14 @@ Wall-clock numbers (throughput, drain time) are recorded for humans
 but **excluded** from the regression check: only structural counters —
 jobs accepted, deduped, answered from cache, completed, whether
 shedding engaged — are compared, and those are deterministic, so the
-committed ``BENCH_service.json`` is checked exactly.
-
-:func:`run_smoke` is the CI gate: the ``overlap`` level plus hard
-assertions (dedup exact, one simulation per unique job, clean drain).
+committed ``BENCH_service.json`` is checked exactly.  Every
+``repro bench service --check`` also holds the ``overlap`` level to
+:func:`overlap_invariants` (dedup exact, one simulation per unique
+job, nothing failed, cached or shed).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import tempfile
@@ -38,21 +37,16 @@ import time
 from typing import Any, Dict, List, Optional
 
 from ..errors import IntegrationError
+from ..exp.bench import EXACT, BenchSuite
 from .client import ServiceClient, ServiceHTTPError
 from .config import ServiceConfig
 
 __all__ = [
-    "BENCH_FILE",
+    "SUITE",
     "ServiceHarness",
+    "overlap_invariants",
     "run_suite",
-    "run_smoke",
-    "render_comparison",
-    "check_regression",
-    "load_results",
 ]
-
-#: canonical result file name (at the repository root)
-BENCH_FILE = "BENCH_service.json"
 
 #: the overlapping campaign: sweeps + fuzz cases, all deterministic
 def overlap_campaign() -> List[Dict[str, Any]]:
@@ -305,89 +299,18 @@ def run_suite(quick: bool = False) -> Dict[str, Any]:
     }
 
 
-#: per-level fields that must match the baseline exactly (all counters
-#: of deterministic admission decisions; never wall-clock)
-CHECKED_FIELDS = {
-    "overlap": ("clients", "jobs_per_client", "unique_jobs", "accepted",
-                "deduped", "cache_hits", "shed", "completed", "failed"),
-    "saturation": ("shed_observed", "balance_ok", "all_accepted_completed"),
-    "cache": ("jobs", "answered_from_cache", "cache_hits", "simulated"),
-}
+def overlap_invariants(document: Dict[str, Any]) -> List[str]:
+    """Admission arithmetic the ``overlap`` level of every run obeys.
 
-
-def _index(document: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
-    return {lvl["level"]: lvl for lvl in document.get("levels", [])}
-
-
-def render_comparison(
-    current: Dict[str, Any], baseline: Optional[Dict[str, Any]] = None
-) -> str:
-    lines = [
-        f"service suite (quick={current.get('quick')}, "
-        f"py {current.get('python')})"
-    ]
-    base = _index(baseline) if baseline else {}
-    for level in current.get("levels", []):
-        name = level["level"]
-        fields = ", ".join(
-            f"{key}={level[key]}"
-            for key in CHECKED_FIELDS.get(name, ())
-        )
-        verdict = ""
-        if name in base:
-            drift = [
-                key
-                for key in CHECKED_FIELDS.get(name, ())
-                if level.get(key) != base[name].get(key)
-            ]
-            verdict = (
-                "  [matches baseline]" if not drift
-                else f"  [DRIFT: {', '.join(drift)}]"
-            )
-        lines.append(f"  {name:<11} {fields}")
-        lines.append(f"  {'':<11} wall={level['wall_s']}s{verdict}")
-    return "\n".join(lines)
-
-
-def check_regression(
-    current: Dict[str, Any], baseline: Dict[str, Any]
-) -> List[str]:
-    """Checked-field mismatches vs the baseline (exact; see module doc)."""
-    failures: List[str] = []
-    base = _index(baseline)
-    for level in current.get("levels", []):
-        name = level["level"]
-        if name not in base:
-            continue
-        for key in CHECKED_FIELDS.get(name, ()):
-            got, want = level.get(key), base[name].get(key)
-            if got != want:
-                failures.append(f"{name}.{key}: {got!r} != baseline {want!r}")
-    return failures
-
-
-def load_results(path: str) -> Optional[Dict[str, Any]]:
-    """Parse a previously written result file (None when absent)."""
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except (OSError, ValueError):
-        return None
-
-
-def run_smoke(n_clients: int = 3) -> List[str]:
-    """The CI gate: overlap level + hard assertions.
-
-    Returns a list of failures (empty = pass): N concurrent clients
-    submitting the same sweep+fuzz campaign must simulate each unique
-    job exactly once, dedup every other submission, and the service
-    must drain cleanly afterwards.
+    N concurrent clients submitting the same sweep+fuzz campaign to a
+    fresh service must simulate each unique job exactly once, dedup
+    every other submission, fail nothing, answer nothing from cache and
+    shed nothing.  Returns the violations (empty = pass).
     """
-    with tempfile.TemporaryDirectory(prefix="service-smoke-") as tmp:
-        level = _level_overlap(tmp, n_clients=n_clients, workers=2)
+    level = {lvl["level"]: lvl for lvl in document["levels"]}["overlap"]
     failures: List[str] = []
     unique = level["unique_jobs"]
-    offered = n_clients * level["jobs_per_client"]
+    offered = level["clients"] * level["jobs_per_client"]
     if level["completed"] != unique:
         failures.append(
             f"expected exactly {unique} simulations, saw {level['completed']}"
@@ -411,3 +334,30 @@ def run_smoke(n_clients: int = 3) -> List[str]:
     if level["shed"]:
         failures.append(f"unexpected shedding: {level['shed']}")
     return failures
+
+
+SUITE = BenchSuite(
+    name="service",
+    bench_file="BENCH_service.json",
+    run=run_suite,
+    rows="levels",
+    key=("level",),
+    # per-level fields that must match the baseline exactly (all
+    # counters of deterministic admission decisions; never wall-clock)
+    checks={
+        "overlap": dict.fromkeys(
+            ("clients", "jobs_per_client", "unique_jobs", "accepted",
+             "deduped", "cache_hits", "shed", "completed", "failed"),
+            EXACT,
+        ),
+        "saturation": dict.fromkeys(
+            ("shed_observed", "balance_ok", "all_accepted_completed"), EXACT
+        ),
+        "cache": dict.fromkeys(
+            ("jobs", "answered_from_cache", "cache_hits", "simulated"), EXACT
+        ),
+    },
+    columns=("accepted", "deduped", "shed", "cache_hits", "completed",
+             "simulated", "wall_s"),
+    invariants=overlap_invariants,
+)

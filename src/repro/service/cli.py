@@ -1,6 +1,5 @@
-"""Argument wiring for ``repro serve`` / ``repro submit`` /
-``repro bench service`` (kept here so :mod:`repro.__main__` stays a
-table of thin delegations)."""
+"""Argument wiring for ``repro serve`` / ``repro submit`` (kept here so
+:mod:`repro.__main__` stays a table of thin delegations)."""
 
 from __future__ import annotations
 
@@ -16,7 +15,6 @@ from .config import ServiceConfig
 __all__ = [
     "add_serve_arguments",
     "add_submit_arguments",
-    "run_bench_service",
     "run_serve",
     "run_submit",
 ]
@@ -137,41 +135,4 @@ def run_submit(args) -> int:
         print(json.dumps(state, indent=1, sort_keys=True))
         return 0 if state.get("status") == "done" else 1
     print(json.dumps(verdict, indent=1, sort_keys=True))
-    return 0
-
-
-def run_bench_service(args) -> int:
-    from pathlib import Path
-
-    from . import bench
-
-    baseline_path = args.baseline
-    if baseline_path is None:
-        for candidate in (
-            Path.cwd() / bench.BENCH_FILE,
-            Path(__file__).resolve().parents[3] / bench.BENCH_FILE,
-        ):
-            if candidate.is_file():
-                baseline_path = str(candidate)
-                break
-    baseline = bench.load_results(baseline_path) if baseline_path else None
-    if args.check and baseline is None:
-        print("bench service --check: no baseline found -- run "
-              "benchmarks/bench_service.py to commit one", file=sys.stderr)
-        return 2
-    current = bench.run_suite(quick=args.quick)
-    print(bench.render_comparison(current, baseline))
-    if baseline is None:
-        print("(no baseline found -- run benchmarks/bench_service.py "
-              "to commit one)")
-        return 0
-    if args.check:
-        # Only deterministic admission counters are compared; wall
-        # clock is reported but never gated on.
-        failures = bench.check_regression(current, baseline)
-        if failures:
-            for failure in failures:
-                print(f"SERVICE DRIFT {failure}", file=sys.stderr)
-            return 1
-        print("all checked counters match the baseline")
     return 0

@@ -6,10 +6,10 @@ cache state change, interrupt, lock operation...).  Tracing is off by
 default; benchmarks leave it off, tests and the coherence checker turn
 on the channels they need.
 
-Hot call sites do not call :meth:`Tracer.emit` directly — building the
-keyword dict for a record that is then dropped costs more than many of
-the modelled operations themselves.  Instead a component asks once for
-a cached :class:`TraceChannel` guard object and emits through it::
+Components emit through a cached :class:`TraceChannel` guard object,
+asked for once, and test it before every emit — building the keyword
+dict for a record that is then dropped costs more than many of the
+modelled operations themselves::
 
     self._trace_bus = tracer.channel("bus")
     ...
@@ -112,10 +112,6 @@ class Tracer:  # repro: lint-ok[slots]
         self._listeners: list[Callable[[TraceRecord], None]] = []
         self._channel_cache: Dict[str, TraceChannel] = {}
 
-    def enabled(self, channel: str) -> bool:
-        """True when ``channel`` is being recorded."""
-        return self._channels is None or channel in self._channels
-
     def enable(self, channel: str) -> None:
         """Start recording ``channel`` (no-op if all channels are on)."""
         if self._channels is not None:
@@ -154,17 +150,6 @@ class Tracer:  # repro: lint-ok[slots]
             guard.store = self._stores(guard.name)
             guard.enabled = self._live(guard.name)
 
-    # -- direct emission ---------------------------------------------------
-    def emit(self, time: int, channel: str, source: str, kind: str, **fields: Any) -> None:
-        """Record one event (no record is built on a dead channel)."""
-        if not self._listeners and not self.enabled(channel):
-            return
-        record = TraceRecord(time, channel, source, kind, fields)
-        for listener in self._listeners:
-            listener(record)
-        if self.enabled(channel):
-            self.records.append(record)  # deque(maxlen) evicts the oldest
-
     def find(self, channel: Optional[str] = None, kind: Optional[str] = None) -> list[TraceRecord]:
         """Filter recorded events by channel and/or kind."""
         return [
@@ -189,13 +174,6 @@ class NullTracer(Tracer):  # repro: lint-ok[slots] -- singleton, like Tracer
         # enable() on the base class would start recording; a NullTracer
         # never stores, whatever the channel set says.
         return False
-
-    def emit(self, time: int, channel: str, source: str, kind: str, **fields: Any) -> None:
-        if not self._listeners:
-            return
-        record = TraceRecord(time, channel, source, kind, fields)
-        for listener in self._listeners:
-            listener(record)
 
 
 class Stats:

@@ -1,22 +1,17 @@
-"""Tests for the fabric study suite."""
+"""Tests for the fabric sweep."""
 
-from repro.exp.fabrics import (
-    FABRICS,
-    check_regression,
-    render_comparison,
-    run_point,
-    run_suite,
-)
+from repro.exp.bench import check_regression, render_comparison
+from repro.exp.scaleout import FABRICS, FABRICS_SUITE, run_point, run_suite
 
 
 class TestRunPoint:
     def test_deterministic(self):
-        a = run_point(4, "directory")
-        b = run_point(4, "directory")
+        a = run_point("fabrics", 4, "directory")
+        b = run_point("fabrics", 4, "directory")
         assert a == b
 
     def test_point_shape(self):
-        point = run_point(2, "split")
+        point = run_point("fabrics", 2, "split")
         assert point["masters"] == 2
         assert point["fabric"] == "split"
         assert point["elapsed_ns"] > 0
@@ -27,22 +22,24 @@ class TestRunPoint:
     def test_split_traffic_matches_atomic(self):
         # The coherence-identity invariant the suite documents: the
         # split bus moves timing only, never traffic volume.
-        atomic = run_point(4, "atomic", accesses_per_master=12)
-        split = run_point(4, "split", accesses_per_master=12)
+        atomic = run_point("fabrics", 4, "atomic", accesses_per_master=12)
+        split = run_point("fabrics", 4, "split", accesses_per_master=12)
         assert split["bus_txns"] == atomic["bus_txns"]
         assert split["elapsed_ns"] < atomic["elapsed_ns"]
 
 
 class TestSuite:
     def test_quick_suite_covers_all_fabrics(self):
-        doc = run_suite(quick=True, master_counts=(2,), accesses_per_master=8)
+        doc = run_suite(
+            "fabrics", quick=True, master_counts=(2,), accesses_per_master=8
+        )
         assert {p["fabric"] for p in doc["points"]} == set(FABRICS)
         assert doc["schema"] == 1
         assert doc["suite"] == "fabrics"
 
     def test_regression_check_exact_by_default(self):
-        doc = run_suite(master_counts=(2,), accesses_per_master=8)
-        assert check_regression(doc, doc) == []
+        doc = run_suite("fabrics", master_counts=(2,), accesses_per_master=8)
+        assert check_regression(FABRICS_SUITE, doc, doc) == []
         drifted = {
             **doc,
             "points": [
@@ -50,13 +47,13 @@ class TestSuite:
                 for p in doc["points"]
             ],
         }
-        failures = check_regression(drifted, doc)
+        failures = check_regression(FABRICS_SUITE, drifted, doc)
         assert len(failures) == len(doc["points"])
 
     def test_render_mentions_every_fabric_and_the_headline(self):
-        doc = run_suite(master_counts=(2,), accesses_per_master=8)
-        text = render_comparison(doc, doc)
+        doc = run_suite("fabrics", master_counts=(2,), accesses_per_master=8)
+        text = render_comparison(FABRICS_SUITE, doc, doc)
         for fabric in FABRICS:
             assert fabric in text
-        assert "1.00x baseline" in text
+        assert text.count(" match") == len(doc["points"])
         assert "headline" in text

@@ -14,6 +14,7 @@ import pytest
 from repro.__main__ import main
 from repro.errors import ConfigError
 from repro.exp import hotpath
+from repro.exp.bench import baseline_mismatch
 
 
 @pytest.fixture(scope="module")
@@ -40,29 +41,29 @@ class TestRunSuite:
 
 class TestBaselineMismatch:
     def test_identical_runs_are_comparable(self, quick_doc):
-        assert hotpath.baseline_mismatch(quick_doc, quick_doc) == []
+        assert baseline_mismatch(hotpath.SUITE, quick_doc, quick_doc) == []
 
     def test_engine_name_mismatch(self, quick_doc):
         other = dict(quick_doc, engine=dict(quick_doc["engine"],
                                             name="compiled"))
         assert any("engine" in m for m in
-                   hotpath.baseline_mismatch(quick_doc, other))
+                   baseline_mismatch(hotpath.SUITE, quick_doc, other))
 
     def test_native_flag_mismatch(self, quick_doc):
         other = dict(quick_doc, engine=dict(quick_doc["engine"], native=True))
-        assert hotpath.baseline_mismatch(quick_doc, other) != []
+        assert baseline_mismatch(hotpath.SUITE, quick_doc, other) != []
 
     def test_python_implementation_mismatch(self, quick_doc):
         other = dict(quick_doc, impl="PyPy")
         assert any("PyPy" in m for m in
-                   hotpath.baseline_mismatch(quick_doc, other))
+                   baseline_mismatch(hotpath.SUITE, quick_doc, other))
 
     def test_legacy_schema1_baseline_is_comparable(self, quick_doc):
         # Pre-engine baselines carry neither engine nor impl; absence
         # must not read as a mismatch or every CI run would exit 2.
         legacy = {k: v for k, v in quick_doc.items()
                   if k not in ("engine", "impl", "schema")}
-        assert hotpath.baseline_mismatch(quick_doc, legacy) == []
+        assert baseline_mismatch(hotpath.SUITE, quick_doc, legacy) == []
 
 
 class TestCliCheck:
@@ -87,3 +88,19 @@ class TestCliCheck:
                      "--tolerance", "1000"])
         assert code == 0
         assert "no regression" in capsys.readouterr().out
+
+    def test_real_regression_exits_1(self, quick_doc, tmp_path, capsys):
+        # A like-for-like baseline 100x faster than this run: every rate
+        # and the e2e wall time fall far below the 0.25 default floor.
+        faster = {
+            key: value / 100 if key in hotpath.TIME_METRICS else value * 100
+            for key, value in quick_doc["metrics"].items()
+        }
+        baseline = tmp_path / "BENCH_hotpath.json"
+        baseline.write_text(json.dumps(dict(quick_doc, metrics=faster)))
+        code = main(["bench", "hotpath", "--quick", "--repeats", "1",
+                     "--check", "--baseline", str(baseline)])
+        assert code == 1
+        err = capsys.readouterr().err
+        for metric in hotpath.RATE_METRICS + hotpath.TIME_METRICS:
+            assert f"FAIL {metric}: value" in err

@@ -1,22 +1,17 @@
-"""Tests for the scale-out experiment suite."""
+"""Tests for the scale-out (service discipline) sweep."""
 
-from repro.exp.scaleout import (
-    DISCIPLINES,
-    check_regression,
-    render_comparison,
-    run_point,
-    run_suite,
-)
+from repro.exp.bench import check_regression, render_comparison
+from repro.exp.scaleout import DISCIPLINES, SCALEOUT_SUITE, run_point, run_suite
 
 
 class TestRunPoint:
     def test_deterministic(self):
-        a = run_point(4, "round-robin")
-        b = run_point(4, "round-robin")
+        a = run_point("scaleout", 4, "round-robin")
+        b = run_point("scaleout", 4, "round-robin")
         assert a == b
 
     def test_point_shape(self):
-        point = run_point(2, "fcfs")
+        point = run_point("scaleout", 2, "fcfs")
         assert point["masters"] == 2
         assert point["discipline"] == "fcfs"
         assert point["elapsed_ns"] > 0
@@ -26,13 +21,15 @@ class TestRunPoint:
 
 class TestSuite:
     def test_quick_suite_covers_all_disciplines(self):
-        doc = run_suite(quick=True, master_counts=(2,), accesses_per_master=8)
+        doc = run_suite(
+            "scaleout", quick=True, master_counts=(2,), accesses_per_master=8
+        )
         assert {p["discipline"] for p in doc["points"]} == set(DISCIPLINES)
         assert doc["schema"] == 1
 
     def test_regression_check_exact_by_default(self):
-        doc = run_suite(master_counts=(2,), accesses_per_master=8)
-        assert check_regression(doc, doc) == []
+        doc = run_suite("scaleout", master_counts=(2,), accesses_per_master=8)
+        assert check_regression(SCALEOUT_SUITE, doc, doc) == []
         drifted = {
             **doc,
             "points": [
@@ -40,12 +37,12 @@ class TestSuite:
                 for p in doc["points"]
             ],
         }
-        failures = check_regression(drifted, doc)
+        failures = check_regression(SCALEOUT_SUITE, drifted, doc)
         assert len(failures) == len(doc["points"])
 
     def test_render_mentions_every_point(self):
-        doc = run_suite(master_counts=(2,), accesses_per_master=8)
-        text = render_comparison(doc, doc)
+        doc = run_suite("scaleout", master_counts=(2,), accesses_per_master=8)
+        text = render_comparison(SCALEOUT_SUITE, doc, doc)
         for discipline in DISCIPLINES:
             assert discipline in text
-        assert "1.00x baseline" in text
+        assert text.count(" match") == len(doc["points"])

@@ -3,35 +3,42 @@
 from repro.sim import NullTracer, Stats, TraceRecord, Tracer
 
 
+def emit(tracer, time, channel, source, kind, **fields):
+    """Emit as a component call site does: through the cached guard."""
+    ch = tracer.channel(channel)
+    if ch.enabled:
+        ch.emit(time, source, kind, **fields)
+
+
 class TestTracer:
     def test_records_enabled_channel(self):
         tracer = Tracer(channels=("bus",))
-        tracer.emit(10, "bus", "m0", "grant", addr=0x100)
+        emit(tracer, 10, "bus", "m0", "grant", addr=0x100)
         assert len(tracer.records) == 1
         assert tracer.records[0].kind == "grant"
 
     def test_skips_disabled_channel(self):
         tracer = Tracer(channels=("bus",))
-        tracer.emit(10, "cache", "m0", "fill")
+        emit(tracer, 10, "cache", "m0", "fill")
         assert len(tracer.records) == 0
 
     def test_none_channels_records_everything(self):
         tracer = Tracer()
-        tracer.emit(1, "a", "s", "k")
-        tracer.emit(2, "b", "s", "k")
+        emit(tracer, 1, "a", "s", "k")
+        emit(tracer, 2, "b", "s", "k")
         assert len(tracer.records) == 2
 
     def test_enable_adds_channel(self):
         tracer = Tracer(channels=())
         tracer.enable("irq")
-        tracer.emit(1, "irq", "s", "k")
+        emit(tracer, 1, "irq", "s", "k")
         assert len(tracer.records) == 1
 
     def test_listener_sees_disabled_channels(self):
         tracer = Tracer(channels=())
         seen = []
         tracer.add_listener(seen.append)
-        tracer.emit(5, "mem", "c0", "load", addr=4, value=9)
+        emit(tracer, 5, "mem", "c0", "load", addr=4, value=9)
         assert len(tracer.records) == 0
         assert len(seen) == 1
         assert seen[0].fields["value"] == 9
@@ -39,37 +46,37 @@ class TestTracer:
     def test_capacity_bounds_storage(self):
         tracer = Tracer(capacity=3)
         for i in range(10):
-            tracer.emit(i, "x", "s", "k")
+            emit(tracer, i, "x", "s", "k")
         assert len(tracer.records) == 3
         assert tracer.records[0].time == 7
 
     def test_find_filters(self):
         tracer = Tracer()
-        tracer.emit(1, "bus", "a", "grant")
-        tracer.emit(2, "bus", "a", "complete")
-        tracer.emit(3, "irq", "b", "grant")
+        emit(tracer, 1, "bus", "a", "grant")
+        emit(tracer, 2, "bus", "a", "complete")
+        emit(tracer, 3, "irq", "b", "grant")
         assert len(tracer.find(channel="bus")) == 2
         assert len(tracer.find(kind="grant")) == 2
         assert len(tracer.find(channel="bus", kind="grant")) == 1
 
     def test_format_is_one_line_per_record(self):
         tracer = Tracer()
-        tracer.emit(1, "bus", "a", "grant", addr=0x2000_0000)
-        tracer.emit(2, "bus", "a", "done")
+        emit(tracer, 1, "bus", "a", "grant", addr=0x2000_0000)
+        emit(tracer, 2, "bus", "a", "done")
         text = tracer.format()
         assert len(text.splitlines()) == 2
         assert "0x20000000" in text
 
     def test_null_tracer_records_nothing(self):
         tracer = NullTracer()
-        tracer.emit(1, "bus", "a", "grant")
+        emit(tracer, 1, "bus", "a", "grant")
         assert len(tracer.records) == 0
 
     def test_null_tracer_still_feeds_listeners(self):
         tracer = NullTracer()
         seen = []
         tracer.add_listener(seen.append)
-        tracer.emit(1, "bus", "a", "grant")
+        emit(tracer, 1, "bus", "a", "grant")
         assert len(seen) == 1
 
 
@@ -182,21 +189,21 @@ class TestEmitAllocation:
     def test_emit_builds_no_record_on_disabled_channel(self, monkeypatch):
         calls = self._count_records(monkeypatch)
         tracer = Tracer(channels=("bus",))
-        tracer.emit(1, "cache", "m0", "fill", addr=0x40)
+        emit(tracer, 1, "cache", "m0", "fill", addr=0x40)
         assert calls == []
-        tracer.emit(2, "bus", "m0", "grant")
+        emit(tracer, 2, "bus", "m0", "grant")
         assert len(calls) == 1
 
     def test_null_tracer_emit_builds_no_record(self, monkeypatch):
         calls = self._count_records(monkeypatch)
-        NullTracer().emit(1, "bus", "m0", "grant", addr=0x40)
+        emit(NullTracer(), 1, "bus", "m0", "grant", addr=0x40)
         assert calls == []
 
     def test_capped_buffer_still_constructs_and_evicts(self, monkeypatch):
         calls = self._count_records(monkeypatch)
         tracer = Tracer(capacity=2)
         for i in range(5):
-            tracer.emit(i, "x", "s", "k")
+            emit(tracer, i, "x", "s", "k")
         assert len(calls) == 5  # every record built...
         assert len(tracer.records) == 2  # ...but only the newest kept
         assert [r.time for r in tracer.records] == [3, 4]
