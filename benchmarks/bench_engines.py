@@ -4,19 +4,18 @@ Runs the reference workload (two MESI masters, hotspot mix) through
 each registered engine and tabulates throughput plus agreement with
 the exact engine — the table EXPERIMENTS.md quotes.  Doubles as an
 end-to-end faithfulness run: the batch engine must reproduce the exact
-engine's counters, final line states and load values, and the compiled
-engine (native build or pure-Python fallback) must be byte-identical
-to exact.
+engine's counters, final line states and load values.  The native
+column is each engine's fingerprint: whether compiled hot modules
+(``tools/build_native.py``) backed the run.
 """
 
 from __future__ import annotations
 
-import time
-
 from conftest import report, run_once
 
 from repro.engines import (
-    available_engines,
+    engine_fingerprint,
+    engine_names,
     get_engine,
     reference_config,
     reference_workload,
@@ -41,7 +40,7 @@ def _run_all():
     accesses = reference_workload(n=N_ACCESSES)
     results = {}
     walls = {}
-    for name in available_engines():
+    for name in engine_names():
         engine = get_engine(name)
         best = None
         for _ in range(REPEATS):
@@ -59,14 +58,14 @@ def _render(accesses, results, walls):
         f"{'speedup':>8} {'agrees with exact':>18}"
     ]
     for name, result in results.items():
-        caps = get_engine(name).capabilities()
+        native = engine_fingerprint(name)["native"]
         agree = (
             _comparable(result.stats) == _comparable(exact.stats)
             and result.line_states == exact.line_states
             and result.values == exact.values
         )
         lines.append(
-            f"{name:<10} {str(caps.native).lower():<7} "
+            f"{name:<10} {str(native).lower():<7} "
             f"{len(accesses) / walls[name]:>12,.0f} "
             f"{walls['exact'] / walls[name]:>7.1f}x "
             f"{'yes' if agree else 'NO':>18}"
@@ -83,9 +82,5 @@ def test_engine_comparison(benchmark):
         assert _comparable(result.stats) == _comparable(exact.stats), name
         assert result.line_states == exact.line_states, name
         assert result.values == exact.values, name
-    # The compiled engine *is* the exact kernel: byte-identical stats,
-    # including the timing-only counters the batch engine skips.
-    assert results["compiled"].stats == exact.stats
-    assert results["compiled"].elapsed_ns == exact.elapsed_ns
     # The fast path must actually be fast.
     assert walls["batch"] < walls["exact"]

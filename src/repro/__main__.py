@@ -29,7 +29,8 @@ Commands
     ``BENCH_<suite>.json``).  ``hotpath`` times the simulator hot path
     (kernel events/sec, cache array lookups/sec, disabled-trace
     emits/sec, Table-2 end-to-end wall time, exact vs batch engine
-    throughput) and tags its results with ``--engine``; ``scaleout``
+    throughput) and tags its results with the exact engine's
+    fingerprint (native build or pure Python); ``scaleout``
     sweeps 2/4/8/16 masters under FCFS / static priority / round-robin
     arbitration; ``fabrics`` sweeps the same masters over the atomic
     snoopy / split-transaction / directory fabrics and prints the
@@ -105,7 +106,6 @@ from .analysis import (
     render_rows,
 )
 from .core.deadlock import SOLUTIONS, run_deadlock_demo
-from .core.platform import ENGINE_NAMES, KERNEL_ENGINES
 from .core.reduction import reduce_protocols
 from .errors import ConfigError, IntegrationError, ReproError
 from .exp import SweepRunner
@@ -223,11 +223,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, metavar="PATH",
                    help="suites: write the result document here (the only "
                         "place a run writes)")
-    p.add_argument("--engine", default="exact", choices=ENGINE_NAMES,
-                   help="simulation engine (default: exact; hotpath "
-                        "tags its results with it, the microbench "
-                        "scenarios run the event kernel so they accept "
-                        "the kernel engines only)")
     return parser
 
 
@@ -350,12 +345,6 @@ def _cmd_bench(args) -> int:
         print(f"bench {args.scenario}: a solution "
               "(disabled/software/proposed) is required", file=sys.stderr)
         return 2
-    if args.engine not in KERNEL_ENGINES:
-        print(f"bench {args.scenario}: engine {args.engine!r} is "
-              "statistics-only and cannot run program-driven "
-              f"microbenchmarks (choose from {list(KERNEL_ENGINES)})",
-              file=sys.stderr)
-        return 2
     spec = MicrobenchSpec(
         scenario=args.scenario,
         solution=args.solution,
@@ -363,7 +352,7 @@ def _cmd_bench(args) -> int:
         exec_time=args.exec_time,
         iterations=args.iterations,
     )
-    result = run_microbench(spec, check=args.check, engine=args.engine)
+    result = run_microbench(spec, check=args.check)
     print(f"{spec.scenario}/{spec.solution}: {result.elapsed_ns} ns "
           f"({result.elapsed_us:.1f} us), {result.isr_entries} ISR entries")
     for key in sorted(result.stats):

@@ -40,8 +40,6 @@ from .snoop_logic import SnoopLogic
 from .wrapper import Wrapper
 
 __all__ = [
-    "ENGINE_NAMES",
-    "KERNEL_ENGINES",
     "FABRIC_NAMES",
     "PlatformConfig",
     "Platform",
@@ -72,17 +70,10 @@ LOCKREG_SIZE = 0x0000_1000
 SCRATCH_BASE = 0x6000_0000
 SCRATCH_SIZE = 0x0000_1000
 
-#: the execution-engine vocabulary.  The *model* (this module) owns the
-#: names so configs stay valid without importing :mod:`repro.engines`;
-#: the engines package asserts its registry matches this tuple exactly.
-ENGINE_NAMES = ("exact", "batch", "compiled")
-#: engines that execute through the event kernel (a :class:`Platform`
-#: can be instantiated for these; "batch" replays traces through a
-#: functional model and never builds a platform)
-KERNEL_ENGINES = ("exact", "compiled")
-#: the coherence-fabric vocabulary; the model owns the names (as with
-#: ``ENGINE_NAMES``) and the :mod:`repro.fabric` registry must cover
-#: exactly this tuple — the ``fabric-contract`` lint rule checks it
+#: the coherence-fabric vocabulary.  The *model* (this module) owns the
+#: names so configs validate without importing :mod:`repro.fabric`; the
+#: fabric registry must cover exactly this tuple — the
+#: ``fabric-contract`` lint rule checks it
 FABRIC_NAMES = ("atomic", "split", "directory")
 
 
@@ -130,10 +121,6 @@ class PlatformConfig:
     watchdog: Optional[WatchdogConfig] = None
     #: fault injectors to arm (empty = pristine platform)
     faults: Tuple[FaultSpec, ...] = ()
-    #: execution engine: "exact" (event kernel, golden-trace identical),
-    #: "batch" (trace-driven functional model, statistics only) or
-    #: "compiled" (the exact kernel, native build when available)
-    engine: str = "exact"
     #: coherence fabric: "atomic" (the paper-faithful snoopy ASB, the
     #: default), "split" (split-transaction pipelined bus) or
     #: "directory" (per-line-home directory interconnect) — see
@@ -185,11 +172,6 @@ class PlatformConfig:
                 f"unknown drain policy {self.drain_policy!r}; pick "
                 "'retry-first' (paper-faithful single port) or 'window' "
                 "(dedicated snoop machine)"
-            )
-        if self.engine not in ENGINE_NAMES:
-            raise ConfigError(
-                f"unknown engine {self.engine!r}; pick from "
-                f"{list(ENGINE_NAMES)}"
             )
         if self.fabric not in FABRIC_NAMES:
             raise ConfigError(
@@ -273,12 +255,6 @@ class Platform:
     """A fully wired heterogeneous multiprocessor platform."""
 
     def __init__(self, config: PlatformConfig):
-        if config.engine not in KERNEL_ENGINES:
-            raise ConfigError(
-                f"engine {config.engine!r} does not execute through the "
-                "event kernel; run it via repro.engines.get_engine "
-                f"(Platform supports {list(KERNEL_ENGINES)})"
-            )
         self.config = config
         self.sim = Simulator()
         self.tracer = Tracer(

@@ -3,15 +3,14 @@
 The coherence *model* — protocol tables, controllers, bus semantics —
 lives in ``repro.cache`` / ``repro.bus`` / ``repro.core``.  This
 package holds the *engines* that execute it: ``exact`` (the event
-kernel, golden-trace identical), ``batch`` (trace-driven functional
-replay, statistics only) and ``compiled`` (the exact kernel on native
-builds of the hot modules when available).  See ``docs/engines.md``.
+kernel, golden-trace identical, on native builds of the hot modules
+when available) and ``batch`` (trace-driven functional replay,
+statistics only).  See ``docs/engines.md``.
 
-Select an engine with ``PlatformConfig(engine=...)`` / ``--engine`` on
-the CLI and run a workload through it::
+Pick an engine by name and run a workload through it::
 
     from repro.engines import get_engine
-    result = get_engine(config.engine).run(config, accesses)
+    result = get_engine("batch").run(config, accesses)
 
 The import direction is one-way: engines import the model, model code
 never imports this package (the ``engine-contract`` lint rule).
@@ -19,17 +18,10 @@ never imports this package (the ``engine-contract`` lint rule).
 
 from __future__ import annotations
 
-from ..core.platform import ENGINE_NAMES
-from .interfaces import EngineCapabilities, EngineRunResult, ISimEngine
-from .registry import (
-    available_engines,
-    engine_fingerprint,
-    engine_names,
-    get_engine,
-)
-from .exact import ExactEngine
+from .interfaces import EngineRunResult, ISimEngine
+from .registry import engine_fingerprint, engine_names, get_engine
+from .exact import ExactEngine, kernel_is_native, native_modules
 from .batch import BatchEngine
-from .compiled import CompiledEngine, kernel_is_native, native_modules
 from .workloads import (
     reference_config,
     reference_workload,
@@ -39,14 +31,11 @@ from .workloads import (
 
 __all__ = [
     "ISimEngine",
-    "EngineCapabilities",
     "EngineRunResult",
     "ExactEngine",
     "BatchEngine",
-    "CompiledEngine",
     "get_engine",
     "engine_names",
-    "available_engines",
     "engine_fingerprint",
     "kernel_is_native",
     "native_modules",
@@ -55,9 +44,3 @@ __all__ = [
     "reference_config",
     "reference_workload",
 ]
-
-# The model owns the vocabulary; the registry must cover it exactly.
-assert tuple(engine_names()) == ENGINE_NAMES, (
-    f"engine registry {engine_names()} disagrees with "
-    f"platform.ENGINE_NAMES {ENGINE_NAMES}"
-)

@@ -43,7 +43,7 @@ from ..core.platform import PlatformConfig, build_memory_map
 from ..core.reduction import WrapperPolicy, reduce_protocols
 from ..errors import ConfigError, ProtocolError
 from ..mem.map import WritePolicy
-from .interfaces import EngineCapabilities, EngineRunResult, ISimEngine
+from .interfaces import EngineRunResult, ISimEngine
 from .registry import register_engine
 
 try:  # numpy accelerates ingestion; the model itself is pure Python
@@ -501,14 +501,6 @@ class BatchEngine(ISimEngine):
 
     name = "batch"
     version = 1
-
-    def capabilities(self) -> EngineCapabilities:
-        return EngineCapabilities(
-            trace_exact=False, timing=False, concurrent=False, native=False
-        )
-
-    def available(self) -> bool:
-        return True
 
     def run(
         self, config: PlatformConfig, accesses: Sequence

@@ -5,18 +5,55 @@ the cache controllers one access at a time (each access completes
 before the next begins, exactly like
 :func:`repro.workloads.tracegen.replay_trace`), and collect the
 counters plus the final line-state occupancy.
+
+Native builds: ``tools/build_native.py`` compiles the :data:`HOT_MODULES`
+with mypyc or Cython when either is installed.  A compiled build drops
+a ``.so``/``.pyd`` next to the source, which the import system then
+prefers automatically — so detection is simply "which file did the
+interpreter actually import?".  Semantics are identical either way
+(the golden-trace test runs on whichever build is importable);
+``fingerprint()["native"]`` records which one ran, so a bench baseline
+never compares a native run against a pure-Python one.
 """
 
 from __future__ import annotations
 
+import importlib
 import time
-from typing import Optional, Sequence
+from typing import Dict, Sequence
 
 from ..core.platform import Platform, PlatformConfig
-from .interfaces import EngineCapabilities, EngineRunResult, ISimEngine
+from .interfaces import EngineRunResult, ISimEngine
 from .registry import register_engine
 
-__all__ = ["ExactEngine", "line_state_occupancy"]
+__all__ = [
+    "ExactEngine",
+    "HOT_MODULES",
+    "kernel_is_native",
+    "line_state_occupancy",
+    "native_modules",
+]
+
+#: the modules a native build accelerates
+HOT_MODULES = ("repro.sim.kernel", "repro.cache.array")
+
+_NATIVE_SUFFIXES = (".so", ".pyd")
+
+
+def _module_is_native(module_name: str) -> bool:
+    module = importlib.import_module(module_name)
+    path = getattr(module, "__file__", "") or ""
+    return path.endswith(_NATIVE_SUFFIXES)
+
+
+def native_modules() -> Dict[str, bool]:
+    """Which hot modules are currently backed by compiled extensions."""
+    return {name: _module_is_native(name) for name in HOT_MODULES}
+
+
+def kernel_is_native() -> bool:
+    """True when every hot module imported as a compiled extension."""
+    return all(native_modules().values())
 
 
 def line_state_occupancy(platform: Platform) -> dict:
@@ -38,18 +75,10 @@ class ExactEngine(ISimEngine):
     name = "exact"
     version = 1
 
-    def capabilities(self) -> EngineCapabilities:
-        return EngineCapabilities(
-            trace_exact=True, timing=True, concurrent=True, native=False
-        )
-
-    def available(self) -> bool:
-        return True
-
     def run(
         self, config: PlatformConfig, accesses: Sequence
     ) -> EngineRunResult:
-        platform = self._build(config)
+        platform = Platform(config)
         controllers = platform.controllers
         values: list = []
 
@@ -83,19 +112,5 @@ class ExactEngine(ISimEngine):
             values=values,
         )
 
-    def _build(self, config: PlatformConfig) -> Platform:
-        # Normalise the tag so a config routed here by name builds a
-        # kernel platform regardless of what it was tagged with.
-        if config.engine != self.name:
-            config = config.with_(engine=self.name)
-        return Platform(config)
-
-    def events_for(
-        self, config: PlatformConfig, accesses: Sequence
-    ) -> Optional[int]:
-        """Kernel events the exact engine fires for this workload.
-
-        The calibration other engines use to express their throughput
-        in ``kernel_events_per_sec``-equivalent terms.
-        """
-        return self.run(config, accesses).events
+    def fingerprint(self) -> Dict[str, object]:
+        return dict(super().fingerprint(), native=kernel_is_native())

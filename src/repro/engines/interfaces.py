@@ -4,20 +4,18 @@ The *model* — protocol tables, controllers, bus/arbiter semantics,
 memory map — lives in ``repro.cache`` / ``repro.bus`` / ``repro.core``
 and knows nothing about execution strategy.  An **engine** is an
 execution strategy for that model: it takes a platform configuration
-plus a serialised access trace and produces statistics.  Three engines
+plus a serialised access trace and produces statistics.  Two engines
 ship behind this contract (see ``docs/engines.md``):
 
 ``exact``
     The discrete-event kernel, byte-identical to the committed golden
-    trace.  The default, and the only engine with timing.
+    trace.  The default, and the only engine with timing; it runs on
+    natively compiled builds of the hot modules when those are
+    importable (pure-Python otherwise).
 ``batch``
     A trace-driven functional replay of the same coherence model with
     no event kernel at all — statistics only, one to two orders of
     magnitude faster.
-``compiled``
-    The exact kernel again, running on natively compiled builds of the
-    hot modules when such builds are importable (pure-Python fallback
-    otherwise).
 
 Model code must never import this package (the ``engine-contract``
 lint rule enforces the direction); engines import the model freely.
@@ -33,34 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import at runtime
     from ..core.platform import PlatformConfig
     from ..workloads.tracegen import TraceAccess
 
-__all__ = ["EngineCapabilities", "EngineRunResult", "ISimEngine"]
-
-
-@dataclass(frozen=True)
-class EngineCapabilities:
-    """What an engine can and cannot promise.
-
-    ``trace_exact``
-        Event ordering and trace output are byte-identical to the
-        golden reference; anything observable in ``exact`` mode is
-        observable here.
-    ``timing``
-        ``elapsed_ns`` in the result is a meaningful simulated time
-        (bus/memory cycle model applied).  Engines without timing
-        report 0 and their ``bus.busy*`` counters are absent.
-    ``concurrent``
-        The engine resolves genuine inter-master concurrency (port
-        contention, ARTRY back-off interleavings).  Engines without it
-        execute the serialised access order as given.
-    ``native``
-        The hot modules currently backing this engine are compiled
-        extensions rather than pure Python.
-    """
-
-    trace_exact: bool
-    timing: bool
-    concurrent: bool
-    native: bool = False
+__all__ = ["EngineRunResult", "ISimEngine"]
 
 
 @dataclass
@@ -68,8 +39,9 @@ class EngineRunResult:
     """What one engine run produced.
 
     ``stats`` carries the same counter keys the platform's
-    :class:`~repro.sim.Stats` bag uses; engines without timing omit
-    the ``bus.busy*`` keys (the documented timing-only exclusions).
+    :class:`~repro.sim.Stats` bag uses; engines without timing report
+    ``elapsed_ns == 0`` and ``events == 0`` and omit the ``bus.busy*``
+    keys (the documented timing-only exclusions).
     ``line_states`` maps each master to its final per-state count of
     valid lines — the per-state occupancy the equivalence suite
     compares across engines.
@@ -93,21 +65,12 @@ class EngineRunResult:
 class ISimEngine(ABC):
     """One execution strategy for the coherence model."""
 
-    #: registry key; must match the entry in ``platform.ENGINE_NAMES``
+    #: registry key (``get_engine(name)``)
     name: str = "?"
     #: bumped whenever the engine's observable behaviour changes; part
     #: of every content-addressed cache key (a result produced by one
     #: engine version can never satisfy a request for another)
     version: int = 0
-
-    @abstractmethod
-    def capabilities(self) -> EngineCapabilities:
-        """The promises this engine makes right now (native detection
-        happens at call time, so the answer can vary per interpreter)."""
-
-    @abstractmethod
-    def available(self) -> bool:
-        """Can this engine run in the current environment?"""
 
     @abstractmethod
     def run(
@@ -121,12 +84,12 @@ class ISimEngine(ABC):
         """
 
     def fingerprint(self) -> Dict[str, object]:
-        """Identity embedded in cache keys and bench baselines."""
-        return {
-            "name": self.name,
-            "version": self.version,
-            "native": self.capabilities().native,
-        }
+        """Identity embedded in cache keys and bench baselines.
+
+        ``native`` says whether compiled hot modules backed the run;
+        only the exact engine can run on them (it overrides this).
+        """
+        return {"name": self.name, "version": self.version, "native": False}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name} v{self.version}>"

@@ -1,10 +1,8 @@
 """Engine registry: name -> engine singleton.
 
-The *vocabulary* of engine names belongs to the model side
-(``repro.core.platform.ENGINE_NAMES``) so configurations validate
-without importing this package; the registry here must cover exactly
-that vocabulary, which ``repro.engines`` asserts at import and the
-``engine-contract`` lint rule re-checks in CI.
+The registry is the engine vocabulary: a name is valid exactly when
+an engine is registered under it.  The ``engine-contract`` lint rule
+checks that every registered engine implements the full surface.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ __all__ = [
     "register_engine",
     "get_engine",
     "engine_names",
-    "available_engines",
     "engine_fingerprint",
 ]
 
@@ -47,11 +44,6 @@ def get_engine(name: str) -> ISimEngine:
 def engine_names() -> List[str]:
     """Every registered engine name, in registration order."""
     return list(_REGISTRY)
-
-
-def available_engines() -> List[str]:
-    """Names of the engines that can run in this environment."""
-    return [name for name, engine in _REGISTRY.items() if engine.available()]
 
 
 def engine_fingerprint(name: str) -> Dict[str, object]:

@@ -14,8 +14,8 @@ fails on regressions against the committed baseline.
 Result documents are **schema 2**: tagged with the execution engine
 (name, version, native build or not) and the Python implementation.
 Perf numbers are only comparable like-for-like — a pure-Python
-baseline checked against a native-build run, or an exact baseline
-against a batch run, would "regress" or "improve" meaninglessly — so
+baseline checked against a native-build run would "regress" or
+"improve" meaninglessly — so
 :func:`repro.exp.bench.baseline_mismatch` refuses cross-engine and
 cross-implementation comparisons, and ``--check`` exits with status 2
 on them.
@@ -31,7 +31,6 @@ from typing import Any, Callable, Dict
 from ..cache.array import CacheArray, CacheGeometry
 from ..cache.line import State
 from ..cache.protocols import make_protocol
-from ..errors import ConfigError
 from ..sim import Simulator, Tracer
 from .bench import RATE, TIME, BenchSuite
 
@@ -194,25 +193,17 @@ def _engine_metrics(n_accesses: int, repeats: int) -> Dict[str, float]:
 # ---------------------------------------------------------------------------
 # the suite
 # ---------------------------------------------------------------------------
-def run_suite(
-    quick: bool = False, repeats: int = 3, engine: str = "exact"
-) -> Dict[str, Any]:
+def run_suite(quick: bool = False, repeats: int = 3) -> Dict[str, Any]:
     """Run every hot-path benchmark; returns the result document.
 
-    ``engine`` tags the document with the kernel engine the suite ran
-    under (``exact``, or ``compiled`` when exercising a native build);
-    the kernel/array/tracer/e2e metrics execute the event kernel, so
-    the statistics-only ``batch`` engine cannot be the tag — its
-    throughput is reported by the ``engine_batch_*`` metrics instead.
+    The document is tagged with the exact engine's fingerprint: the
+    kernel/array/tracer/e2e metrics execute the event kernel, and its
+    ``native`` flag records whether a native build backed them.  The
+    batch engine's throughput is reported by the ``engine_batch_*``
+    metrics instead.
     """
-    from ..core.platform import KERNEL_ENGINES
     from ..engines import engine_fingerprint
 
-    if engine not in KERNEL_ENGINES:
-        raise ConfigError(
-            f"hotpath suite runs the event kernel; engine {engine!r} "
-            f"cannot tag it (choose from {list(KERNEL_ENGINES)})"
-        )
     scale = 1 if quick else 5
     n_kernel = 40_000 * scale
     n_array = 80_000 * scale
@@ -237,7 +228,7 @@ def run_suite(
         "quick": bool(quick),
         "python": sys.version.split()[0],
         "impl": _platform.python_implementation(),
-        "engine": engine_fingerprint(engine),
+        "engine": engine_fingerprint("exact"),
         "params": {
             "kernel_events": n_kernel,
             "array_lookups": n_array,
@@ -265,6 +256,6 @@ SUITE = BenchSuite(
     },
     columns=("value",),
     tolerance=0.25,
-    options=("repeats", "engine"),
+    options=("repeats",),
     previous=("metrics", "python", "impl", "engine", "quick"),
 )

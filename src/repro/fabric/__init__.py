@@ -5,7 +5,7 @@ See :mod:`repro.fabric.interfaces` for the contract and
 Importing this package registers the three shipped fabrics.
 """
 
-from .interfaces import FabricCapabilities, IFabric
+from .interfaces import IFabric
 from .registry import (
     fabric_fingerprint,
     fabric_names,
@@ -18,7 +18,6 @@ from .split import SplitBus
 from .directory import BankedArbiter, DirectoryFabric
 
 __all__ = [
-    "FabricCapabilities",
     "IFabric",
     "register_fabric",
     "get_fabric",

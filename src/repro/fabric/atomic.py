@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict
 
 from ..bus.asb import AsbBus
-from .interfaces import FabricCapabilities, IFabric
+from .interfaces import IFabric
 from .registry import register_fabric
 
 __all__ = ["AtomicFabric"]
@@ -24,15 +24,6 @@ class AtomicFabric(AsbBus, IFabric):
 
     name = "atomic"
     version = 1
-
-    @classmethod
-    def capabilities(cls) -> FabricCapabilities:
-        return FabricCapabilities(
-            broadcast=True,
-            atomic_tenure=True,
-            pipelined=False,
-            point_to_point=False,
-        )
 
     @classmethod
     def build(

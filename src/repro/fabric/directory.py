@@ -38,7 +38,6 @@ from ..bus.types import (
 )
 from ..bus.asb import TenureState
 from .atomic import AtomicFabric
-from .interfaces import FabricCapabilities
 from .registry import register_fabric
 
 __all__ = ["BankedArbiter", "DirectoryFabric"]
@@ -118,15 +117,6 @@ class DirectoryFabric(AtomicFabric):
         self.arbiter = BankedArbiter(self._banks)
         #: line base -> set of master names holding the line valid
         self._presence: Dict[int, Set[str]] = {}
-
-    @classmethod
-    def capabilities(cls) -> FabricCapabilities:
-        return FabricCapabilities(
-            broadcast=False,
-            atomic_tenure=True,
-            pipelined=False,
-            point_to_point=True,
-        )
 
     @classmethod
     def build(

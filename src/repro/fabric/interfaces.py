@@ -20,43 +20,17 @@ behind that surface (see ``docs/fabrics.md``):
     of broadcasting, with per-home-bank concurrency.
 
 This package never imports :mod:`repro.core.platform` (the fabric
-*vocabulary* lives there, mirroring ``ENGINE_NAMES``), and the bus
-model never imports this package — the ``fabric-contract`` lint rule
-enforces both directions.
+*vocabulary*, ``FABRIC_NAMES``, lives there), and the bus model never
+imports this package — the ``fabric-contract`` lint rule enforces both
+directions.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Dict
 
-__all__ = ["FabricCapabilities", "IFabric"]
-
-
-@dataclass(frozen=True)
-class FabricCapabilities:
-    """What a fabric can and cannot promise.
-
-    ``broadcast``
-        Every snooper sees every coherent transaction's address phase
-        (snoopy organisation).  Directory fabrics forward point-to-
-        point instead.
-    ``atomic_tenure``
-        A transaction holds its arbitration domain from address phase
-        through data phase; nothing else interleaves on that domain.
-    ``pipelined``
-        Data tenures overlap the next transaction's arbitration and
-        address phase (split-transaction organisation).
-    ``point_to_point``
-        Snoops are forwarded only to caches the directory records as
-        holding the line.
-    """
-
-    broadcast: bool
-    atomic_tenure: bool
-    pipelined: bool
-    point_to_point: bool
+__all__ = ["IFabric"]
 
 
 class IFabric(ABC):
@@ -75,11 +49,6 @@ class IFabric(ABC):
     name: str = "?"
     #: bumped whenever the fabric's observable behaviour changes
     version: int = 0
-
-    @classmethod
-    @abstractmethod
-    def capabilities(cls) -> FabricCapabilities:
-        """The promises this fabric makes."""
 
     @classmethod
     @abstractmethod

@@ -41,7 +41,6 @@ from ..bus.asb import TenureState
 from ..bus.types import BusResult, Priority, Transaction
 from ..sim import Event
 from .atomic import AtomicFabric
-from .interfaces import FabricCapabilities
 from .registry import register_fabric
 
 __all__ = ["SplitBus"]
@@ -66,15 +65,6 @@ class SplitBus(AtomicFabric):
         #: completion event of the newest queued data tenure (the tail
         #: of the in-order data pipeline), None when the pipe is empty
         self._data_tail: Optional[Event] = None
-
-    @classmethod
-    def capabilities(cls) -> FabricCapabilities:
-        return FabricCapabilities(
-            broadcast=True,
-            atomic_tenure=False,
-            pipelined=True,
-            point_to_point=False,
-        )
 
     @classmethod
     def fingerprint(cls) -> Dict[str, object]:

@@ -330,13 +330,17 @@ class AstRule(Rule):
 RULES: Dict[str, Rule] = {}
 
 
-def register(cls):
-    """Class decorator: instantiate and add to :data:`RULES`."""
-    instance = cls()
+def register(rule):
+    """Add a rule to :data:`RULES`.
+
+    Used as a class decorator (the class is instantiated here) or
+    called with an instance, for one rule class configured per use.
+    """
+    instance = rule() if isinstance(rule, type) else rule
     if instance.id in RULES:
         raise ValueError(f"duplicate lint rule id {instance.id!r}")
     RULES[instance.id] = instance
-    return cls
+    return rule
 
 
 def run_rules(

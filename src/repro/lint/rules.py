@@ -9,8 +9,7 @@ from . import determinism  # noqa: F401
 from .concur import cycle  # noqa: F401
 from .concur import hold  # noqa: F401
 from .concur import release  # noqa: F401
-from . import engine_contract  # noqa: F401
-from . import fabric_contract  # noqa: F401
+from . import contracts  # noqa: F401
 from . import fault_proxy  # noqa: F401
 from . import process_yield  # noqa: F401
 from . import slots  # noqa: F401

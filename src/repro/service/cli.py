@@ -7,7 +7,6 @@ import json
 import os
 import sys
 
-from ..core.platform import ENGINE_NAMES
 from ..errors import IntegrationError
 from .client import ServiceClient, ServiceHTTPError
 from .config import ServiceConfig
@@ -40,8 +39,6 @@ def add_serve_arguments(parser) -> None:
                         help="per-attempt job deadline (default: 300)")
     parser.add_argument("--max-attempts", type=int, default=2,
                         help="attempts per hung/crashed job (default: 2)")
-    parser.add_argument("--engine", default="exact", choices=ENGINE_NAMES,
-                        help="simulation engine tag for the result cache")
     parser.add_argument("--allow-probe", action="store_true",
                         help="admit diagnostic probe jobs (chaos drills "
                              "and smoke benchmarks only)")
@@ -59,7 +56,6 @@ def run_serve(args) -> int:
         max_queue=args.max_queue,
         timeout_s=args.timeout_s,
         max_attempts=args.max_attempts,
-        engine=args.engine,
         allow_probe=args.allow_probe,
     )
     return serve(config)

@@ -50,7 +50,6 @@ class ServiceConfig:
     #: long-poll ``?wait=`` ceiling per request
     max_wait_s: float = 30.0
     allow_probe: bool = False
-    engine: str = "exact"
 
     def __post_init__(self):
         if self.workers < 1:
@@ -94,5 +93,4 @@ class ServiceConfig:
             "backoff_cap_s": self.backoff_cap_s,
             "stall_threshold_s": self.stall_threshold_s,
             "allow_probe": self.allow_probe,
-            "engine": self.engine,
         }

@@ -125,7 +125,7 @@ class Scheduler:
     def __init__(self, config: ServiceConfig, cache: Optional[ResultCache] = None):
         self.config = config
         self.cache = cache if cache is not None else ResultCache(
-            config.resolved_cache_dir, engine=config.engine
+            config.resolved_cache_dir
         )
         self.journal = Journal(config.journal_path)
         self.pool = ResilientPool(

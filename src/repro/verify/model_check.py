@@ -70,7 +70,7 @@ __all__ = [
 _EVENT_KINDS = ("read", "write", "evict")
 
 
-def _events_for(n: int) -> Tuple[str, ...]:
+def _event_alphabet(n: int) -> Tuple[str, ...]:
     return tuple(f"{kind}{i}" for i in range(n) for kind in _EVENT_KINDS)
 
 
@@ -401,7 +401,7 @@ def check_system(
         mem_fresh=True,
         present=tuple(False for _ in range(n)) if directory else (),
     )
-    events = _events_for(n)
+    events = _event_alphabet(n)
     seen: Dict[ModelState, Tuple[str, ...]] = {initial: ()}
     queue = deque([initial])
     violations: List[Violation] = []

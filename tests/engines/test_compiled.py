@@ -1,21 +1,19 @@
-"""Compiled-engine fallback: with or without a native build, the
-compiled engine is behaviourally the exact kernel.
+"""Native builds of the exact engine's hot modules.
 
-Without native extensions (the default in this environment) the
-compiled engine runs the same pure-Python hot modules as ``exact`` and
-must be byte-identical to it — same counters, same simulated time,
-same event count.  With a native build (``tools/build_native.py``) the
-golden-trace test parametrization proves the stronger claim.
+``tools/build_native.py`` compiles :data:`HOT_MODULES` when mypyc or
+Cython is installed; the exact engine then runs on the compiled
+modules and its fingerprint says so.  Without a native build (the
+default) the fingerprint reports ``native: False``.  Either way the
+golden-trace test proves the kernel byte-identical.
 """
 
 from repro.engines import (
+    engine_fingerprint,
     get_engine,
     kernel_is_native,
     native_modules,
-    serialize_workload,
 )
-from repro.engines.compiled import HOT_MODULES
-from repro.engines.workloads import reference_config
+from repro.engines.exact import HOT_MODULES
 
 
 def test_native_detection_shape():
@@ -26,21 +24,6 @@ def test_native_detection_shape():
 
 
 def test_capabilities_reflect_the_build():
-    caps = get_engine("compiled").capabilities()
-    assert caps.trace_exact and caps.timing and caps.concurrent
-    assert caps.native == kernel_is_native()
-
-
-def test_compiled_is_byte_identical_to_exact():
-    config = reference_config()
-    accesses = serialize_workload(
-        {"kind": "false-sharing", "n": 150, "lines": 3, "seed": 21}
-    )
-    exact = get_engine("exact").run(config, accesses)
-    compiled = get_engine("compiled").run(config, accesses)
-    assert compiled.stats == exact.stats
-    assert compiled.elapsed_ns == exact.elapsed_ns
-    assert compiled.events == exact.events
-    assert compiled.line_states == exact.line_states
-    assert compiled.values == exact.values
-    assert compiled.engine == "compiled"
+    fp = get_engine("exact").fingerprint()
+    assert fp == {"name": "exact", "version": 1, "native": kernel_is_native()}
+    assert engine_fingerprint("exact") == fp

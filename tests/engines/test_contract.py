@@ -1,67 +1,64 @@
-"""The engine contract: registry soundness, capabilities, selection.
+"""The engine contract: registry soundness, surface, run promises.
 
 These tests pin the *shape* of the model/engine split — the registry
-covers exactly ``platform.ENGINE_NAMES``, every engine implements the
-full :class:`ISimEngine` surface, capability flags say what each
-engine actually promises, and configuration-time selection rejects
-engines that cannot do what was asked of them.
+holds exactly the two shipped engines, every engine implements the
+full :class:`ISimEngine` surface, each engine keeps its documented
+promises on real run results, and configurations carry no engine tag
+(an engine is chosen by calling it, not by configuring it).
 """
 
 import pytest
 
-from repro.core.platform import (
-    ENGINE_NAMES,
-    KERNEL_ENGINES,
-    Platform,
-    PlatformConfig,
-)
+from repro.core.platform import PlatformConfig
 from repro.cpu.presets import preset_generic
 from repro.engines import (
-    EngineCapabilities,
     ISimEngine,
-    available_engines,
     engine_fingerprint,
     engine_names,
     get_engine,
+    reference_config,
+    reference_workload,
 )
 from repro.engines.registry import register_engine
 from repro.errors import ConfigError
-
-
-def _two_mesi():
-    return PlatformConfig(
-        cores=(preset_generic("p0", "MESI"), preset_generic("p1", "MESI")),
-        hardware_coherence=True,
-    )
+from repro.exp.cache import DEFAULT_ENGINE
 
 
 class TestRegistry:
     def test_registry_covers_the_platform_vocabulary_exactly(self):
-        assert tuple(engine_names()) == ENGINE_NAMES
-
-    def test_kernel_engines_are_a_subset(self):
-        assert set(KERNEL_ENGINES) <= set(ENGINE_NAMES)
-        assert "batch" not in KERNEL_ENGINES
+        assert engine_names() == ["exact", "batch"]
 
     def test_unknown_engine_is_a_config_error(self):
         with pytest.raises(ConfigError, match="unknown engine"):
             get_engine("interpretive-dance")
 
+    def test_kernel_engines_are_a_subset(self):
+        # Of the registered engines only exact runs the event kernel.
+        config = reference_config()
+        accesses = reference_workload(n=100)
+        kernel = [name for name in engine_names()
+                  if get_engine(name).run(config, accesses).events > 0]
+        assert kernel == ["exact"]
+
     def test_every_engine_is_available_here(self):
-        # exact/compiled always run; batch has a scalar ingestion
-        # fallback, so nothing in this environment is unavailable.
-        assert available_engines() == list(engine_names())
+        # Every engine runs in this environment: batch's scalar
+        # ingestion stands in when numpy is absent.
+        config = reference_config()
+        accesses = reference_workload(n=100)
+        for name in engine_names():
+            result = get_engine(name).run(config, accesses)
+            assert result.engine == name
+            assert result.accesses == len(accesses)
+
+    def test_compiled_engine_is_gone(self):
+        # Native builds are reported by exact's fingerprint instead.
+        with pytest.raises(ConfigError, match="unknown engine"):
+            get_engine("compiled")
 
     def test_duplicate_registration_is_rejected(self):
         class Impostor(ISimEngine):
             name = "exact"
             version = 99
-
-            def capabilities(self):  # pragma: no cover - never called
-                return EngineCapabilities(True, True, True)
-
-            def available(self):  # pragma: no cover - never called
-                return True
 
             def run(self, config, accesses):  # pragma: no cover
                 raise NotImplementedError
@@ -73,16 +70,15 @@ class TestRegistry:
 
 
 class TestSurface:
-    @pytest.mark.parametrize("name", ENGINE_NAMES)
+    @pytest.mark.parametrize("name", ["exact", "batch"])
     def test_engine_implements_the_full_surface(self, name):
         engine = get_engine(name)
         assert isinstance(engine, ISimEngine)
         assert engine.name == name
         assert isinstance(engine.version, int) and engine.version >= 1
-        assert isinstance(engine.capabilities(), EngineCapabilities)
-        assert isinstance(engine.available(), bool)
+        assert callable(engine.run)
 
-    @pytest.mark.parametrize("name", ENGINE_NAMES)
+    @pytest.mark.parametrize("name", ["exact", "batch"])
     def test_fingerprint_carries_cache_key_identity(self, name):
         fp = engine_fingerprint(name)
         assert fp["name"] == name
@@ -90,47 +86,34 @@ class TestSurface:
         assert isinstance(fp["native"], bool)
 
     def test_capability_flags_match_the_documented_promises(self):
-        exact = get_engine("exact").capabilities()
-        assert exact.trace_exact and exact.timing and exact.concurrent
-        batch = get_engine("batch").capabilities()
-        assert not batch.trace_exact
-        assert not batch.timing
-        assert not batch.concurrent
-        compiled = get_engine("compiled").capabilities()
-        assert compiled.trace_exact and compiled.timing and compiled.concurrent
+        # The promises hold on real results: exact carries simulated
+        # time and kernel events; batch carries neither, nor the
+        # timing-only bus.busy* counters.
+        config = reference_config()
+        accesses = reference_workload(n=200)
+        exact = get_engine("exact").run(config, accesses)
+        assert exact.elapsed_ns > 0 and exact.events > 0
+        batch = get_engine("batch").run(config, accesses)
+        assert batch.elapsed_ns == 0 and batch.events == 0
+        assert not any(key.startswith("bus.busy") for key in batch.stats)
+        assert engine_fingerprint("batch")["native"] is False
 
     def test_lint_surface_validation_is_clean(self):
-        from repro.lint.engine_contract import validate_engine_surface
+        from repro.lint.contracts import ENGINES, validate_surface
 
-        assert validate_engine_surface() == []
+        assert validate_surface(ENGINES) == []
 
 
 class TestSelection:
     def test_config_rejects_unknown_engine(self):
-        with pytest.raises(ConfigError, match="unknown engine"):
+        # Configurations carry no engine tag at all: any engine= is
+        # a constructor error, not a silently ignored label.
+        with pytest.raises(TypeError, match="engine"):
             PlatformConfig(
                 cores=(preset_generic("p0", "MESI"),), engine="warp"
             )
 
-    def test_platform_rejects_statistics_only_engines(self):
-        config = PlatformConfig(
-            cores=(preset_generic("p0", "MESI"),
-                   preset_generic("p1", "MESI")),
-            hardware_coherence=True,
-            engine="batch",
-        )
-        with pytest.raises(ConfigError, match="event kernel"):
-            Platform(config)
-
-    @pytest.mark.parametrize("engine", KERNEL_ENGINES)
-    def test_platform_accepts_kernel_engines(self, engine):
-        config = PlatformConfig(
-            cores=(preset_generic("p0", "MESI"),
-                   preset_generic("p1", "MESI")),
-            hardware_coherence=True,
-            engine=engine,
-        )
-        assert Platform(config).config.engine == engine
-
     def test_default_engine_is_exact(self):
-        assert _two_mesi().engine == "exact"
+        # Runs that name no engine (sweeps, the service) are cached
+        # under the exact engine's identity.
+        assert DEFAULT_ENGINE == "exact"

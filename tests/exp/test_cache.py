@@ -39,6 +39,19 @@ class TestContentKey:
         b = {"y": 2, "x": 1}
         assert content_key(a, "v") == content_key(b, "v")
 
+    def test_keys_are_pinned(self):
+        # Cached results and service job ids are addressed by these
+        # keys: a change to the key layout or the exact engine's
+        # identity would orphan every stored result.
+        from repro.engines import engine_fingerprint, kernel_is_native
+
+        assert content_key({"kind": "pin"}, "v") == (
+            "c0ad53ce4d90047158b360b6a23ff84de1dd58a12359d0fcd0598dd91b53594d"
+        )
+        assert engine_fingerprint("exact") == {
+            "name": "exact", "version": 1, "native": kernel_is_native(),
+        }
+
 
 class TestEngineScoping:
     """Engine-tagged keys: the cache-poisoning regression suite.

@@ -12,7 +12,6 @@ import json
 import pytest
 
 from repro.__main__ import main
-from repro.errors import ConfigError
 from repro.exp import hotpath
 from repro.exp.bench import baseline_mismatch
 
@@ -23,10 +22,6 @@ def quick_doc():
 
 
 class TestRunSuite:
-    def test_statistics_only_engine_is_rejected(self):
-        with pytest.raises(ConfigError, match="event kernel"):
-            hotpath.run_suite(quick=True, repeats=1, engine="batch")
-
     def test_document_is_engine_tagged(self, quick_doc):
         assert quick_doc["schema"] == 2
         assert quick_doc["engine"]["name"] == "exact"
@@ -45,7 +40,7 @@ class TestBaselineMismatch:
 
     def test_engine_name_mismatch(self, quick_doc):
         other = dict(quick_doc, engine=dict(quick_doc["engine"],
-                                            name="compiled"))
+                                            name="batch"))
         assert any("engine" in m for m in
                    baseline_mismatch(hotpath.SUITE, quick_doc, other))
 
@@ -68,9 +63,10 @@ class TestBaselineMismatch:
 
 class TestCliCheck:
     def test_mismatched_baseline_exits_2(self, quick_doc, tmp_path, capsys):
+        # A native-build baseline against this pure-Python run.
         baseline = tmp_path / "BENCH_hotpath.json"
         doc = dict(quick_doc, engine=dict(quick_doc["engine"],
-                                          name="compiled"))
+                                          native=not quick_doc["engine"]["native"]))
         baseline.write_text(json.dumps(doc))
         code = main(["bench", "hotpath", "--quick", "--repeats", "1",
                      "--check", "--baseline", str(baseline)])

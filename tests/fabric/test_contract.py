@@ -1,4 +1,4 @@
-"""The fabric contract: registry, capabilities, snapshots, fingerprints."""
+"""The fabric contract: registry, snapshots, fingerprints."""
 
 import pytest
 
@@ -28,7 +28,7 @@ def _two_core_config(**overrides):
 
 class TestRegistry:
     def test_every_platform_fabric_name_is_registered(self):
-        assert set(FABRIC_NAMES) <= set(fabric_names())
+        assert tuple(fabric_names()) == FABRIC_NAMES
 
     def test_lookup_returns_the_classes(self):
         assert get_fabric("atomic") is AtomicFabric
@@ -46,22 +46,6 @@ class TestRegistry:
     def test_every_fabric_is_an_ifabric(self):
         for name in fabric_names():
             assert issubclass(get_fabric(name), IFabric)
-
-
-class TestCapabilities:
-    def test_atomic_is_broadcast_atomic(self):
-        caps = AtomicFabric.capabilities()
-        assert caps.broadcast and caps.atomic_tenure
-        assert not caps.pipelined and not caps.point_to_point
-
-    def test_split_pipelines_but_still_broadcasts(self):
-        caps = SplitBus.capabilities()
-        assert caps.broadcast and caps.pipelined
-        assert not caps.atomic_tenure
-
-    def test_directory_is_point_to_point(self):
-        caps = DirectoryFabric.capabilities()
-        assert caps.point_to_point and not caps.broadcast
 
 
 class TestFingerprints:

@@ -32,24 +32,19 @@ STATS_FILE = os.path.join(GOLDEN_DIR, "table2_wcs_stats.json")
 #: every channel the platform components emit on
 ALL_CHANNELS = ("bus", "cache", "irq", "mem", "core")
 
-#: both kernel engines must reproduce the golden trace byte-identically;
-#: the compiled leg only proves something extra on a native build, so it
-#: skips (not passes) when tools/build_native.py has not run
-KERNEL_ENGINE_PARAMS = (
-    "exact",
-    pytest.param(
-        "compiled",
-        marks=pytest.mark.skipif(
-            not kernel_is_native(),
-            reason="no native build present (run tools/build_native.py); "
-            "the compiled engine would exercise the same pure-Python "
-            "modules as the exact leg",
-        ),
-    ),
-)
+#: the kernel engine these tests run on.  It stays a parameter so each
+#: test id names it: a native build (tools/build_native.py) runs the same
+#: ids as the pure-Python modules, and ``kernel_label`` says which ran
+KERNEL_ENGINE_PARAMS = ("exact",)
 
 
-def run_golden_workload(engine: str = "exact"):
+def kernel_label(engine: str) -> str:
+    """``exact kernel (native)`` or ``exact kernel (pure Python)``."""
+    build = "native" if kernel_is_native() else "pure Python"
+    return f"{engine} kernel ({build})"
+
+
+def run_golden_workload():
     """The fixed workload: Table-2 protocol pair + a snooped ARM920T.
 
     Small caches force evictions and write-backs; the non-coherent
@@ -72,7 +67,6 @@ def run_golden_workload(engine: str = "exact"):
         cores=cores,
         keep_platform=True,
         trace_channels=ALL_CHANNELS,
-        engine=engine,
     )
     trace_text = result.platform.tracer.format()
     stats = dict(sorted(result.stats.items()))
@@ -84,22 +78,24 @@ def run_golden_workload(engine: str = "exact"):
 
 @pytest.mark.parametrize("engine", KERNEL_ENGINE_PARAMS)
 def test_trace_stream_matches_golden(engine):
-    trace_text, _stats = run_golden_workload(engine)
+    trace_text, _stats = run_golden_workload()
     with open(TRACE_FILE) as handle:
         golden = handle.read().rstrip("\n")
     assert trace_text == golden, (
-        "TraceRecord stream diverged from the committed golden trace — "
-        "event ordering is no longer byte-identical"
+        f"{kernel_label(engine)}: TraceRecord stream diverged from the "
+        "committed golden trace — event ordering is no longer "
+        "byte-identical"
     )
 
 
 @pytest.mark.parametrize("engine", KERNEL_ENGINE_PARAMS)
 def test_headline_stats_match_golden(engine):
-    _trace, stats = run_golden_workload(engine)
+    _trace, stats = run_golden_workload()
     with open(STATS_FILE) as handle:
         golden = json.load(handle)
     assert stats == golden, (
-        "headline statistics diverged from the committed golden snapshot"
+        f"{kernel_label(engine)}: headline statistics diverged from the "
+        "committed golden snapshot"
     )
 
 

@@ -22,19 +22,18 @@ from repro.core import SHARED_BASE, Platform, PlatformConfig
 from repro.cpu import preset_generic
 from repro.verify import CoherenceChecker
 
-from .test_golden_trace import KERNEL_ENGINE_PARAMS
+from .test_golden_trace import KERNEL_ENGINE_PARAMS, kernel_label
 
 WORD0 = SHARED_BASE          # p0's word
 WORD1 = SHARED_BASE + 4      # p1's word, same cache line
 RACE_AT = 10_000             # both upgrades issued at this instant
 
 
-def run_race(pair, engine="exact"):
+def run_race(pair):
     platform = Platform(
         PlatformConfig(
             cores=(preset_generic("p0", pair[0]), preset_generic("p1", pair[1])),
             hardware_coherence=True,
-            engine=engine,
         )
     )
     checker = CoherenceChecker(platform)
@@ -64,18 +63,19 @@ def run_race(pair, engine="exact"):
     [("MESI", "MESI"), ("MOESI", "MOESI"), ("MSI", "MSI"), ("MSI", "MOESI")],
 )
 def test_concurrent_upgrades_do_not_lose_data(pair, engine):
-    platform, checker = run_race(pair, engine)
+    platform, checker = run_race(pair)
     checker.check_all_lines()
-    assert checker.clean, [str(v) for v in checker.violations]
+    assert checker.clean, (kernel_label(engine),
+                           [str(v) for v in checker.violations])
 
 
 @pytest.mark.parametrize("engine", KERNEL_ENGINE_PARAMS)
 def test_lost_upgrade_is_cancelled_before_snooping(engine):
-    platform, checker = run_race(("MOESI", "MOESI"), engine)
+    platform, checker = run_race(("MOESI", "MOESI"))
     # The loser must be cancelled at grant time and redone as a full
     # miss — never broadcast as a stale invalidate.
     assert platform.stats.get("bus.cancelled") >= 1
     races = sum(platform.stats.get(f"p{i}.upgrade_races") for i in range(2))
     assert races >= 1
     checker.check_all_lines()
-    assert checker.clean
+    assert checker.clean, kernel_label(engine)

@@ -392,7 +392,7 @@ class TestEngineContract:
         assert _run(make_project, files, ["engine-contract"]) == []
 
     def test_model_import_of_the_model_is_silent(self, make_project):
-        src = "from repro.core.platform import ENGINE_NAMES\n"
+        src = "from repro.core.platform import FABRIC_NAMES\n"
         assert _run(make_project, {"core/x.py": src}, ["engine-contract"]) == []
 
 
@@ -440,6 +440,6 @@ class TestFabricContract:
         assert _run(make_project, files, ["fabric-contract"]) == []
 
     def test_live_registry_surface_is_sound(self):
-        from repro.lint.fabric_contract import validate_fabric_surface
+        from repro.lint.contracts import FABRICS, validate_surface
 
-        assert validate_fabric_surface() == []
+        assert validate_surface(FABRICS) == []

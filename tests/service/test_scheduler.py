@@ -10,6 +10,7 @@ runs.  The full pipeline (with real workers and real sockets) lives in
 import pytest
 
 from repro.errors import ConfigError
+from repro.exp.cache import engine_tag
 from repro.service.config import ServiceConfig
 from repro.service.scheduler import (
     DrainingError,
@@ -48,6 +49,17 @@ class TestAdmission:
         canonical = scheduler.jobs[verdict["job_id"]].payload
         assert verdict["job_id"] == scheduler.cache.key_for(canonical)
         scheduler.shutdown()
+
+    def test_jobs_are_keyed_under_the_exact_engine(self, tmp_path):
+        # Every service job runs on the exact kernel, so its results
+        # are filed under exact's identity; there is no engine knob to
+        # file them under another.
+        scheduler = make_scheduler(tmp_path)
+        assert scheduler.cache.engine == engine_tag("exact")
+        assert "engine" not in scheduler.config.to_dict()
+        scheduler.shutdown()
+        with pytest.raises(TypeError, match="engine"):
+            ServiceConfig(data_dir=str(tmp_path), engine="batch")
 
     def test_duplicate_submission_dedups(self, tmp_path):
         scheduler = make_scheduler(tmp_path)

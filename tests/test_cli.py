@@ -78,26 +78,12 @@ class TestBench:
         )
         assert code == 0
 
-    def test_explicit_exact_engine_matches_default(self, capsys):
-        argv = ["bench", "bcs", "proposed", "--lines", "2",
-                "--iterations", "2"]
-        assert main(argv) == 0
-        default_out = capsys.readouterr().out
-        assert main(argv + ["--engine", "exact"]) == 0
-        assert capsys.readouterr().out == default_out
-
-    def test_statistics_only_engine_rejected_for_microbench(self, capsys):
-        code = main(
-            ["bench", "wcs", "proposed", "--engine", "batch",
-             "--lines", "2", "--iterations", "2"]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "statistics-only" in err
-
     def test_unknown_engine_rejected_by_argparse(self):
-        with pytest.raises(SystemExit):
-            main(["bench", "wcs", "proposed", "--engine", "warp"])
+        # There is no engine to pick: the microbench scenarios run the
+        # event kernel, so --engine is not an option at all.
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "wcs", "proposed", "--engine", "exact"])
+        assert exc.value.code == 2
 
 
 class TestFigure:
@@ -262,6 +248,13 @@ class TestExitCodes:
         assert "no baseline found" in captured.err
         assert f"repro bench {suite}" in captured.err
         assert captured.out == ""
+
+
+    def test_serve_has_no_engine_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--engine", "exact"])
+        assert exc.value.code == 2
+        assert "--engine" in capsys.readouterr().err
 
 
 def test_missing_command_rejected():

@@ -1,18 +1,18 @@
 #!/usr/bin/env python
-"""Build native extensions for the hot modules (compiled engine).
+"""Build native extensions for the exact engine's hot modules.
 
-Compiles the modules named by :data:`repro.engines.compiled.HOT_MODULES`
+Compiles the modules named by :data:`repro.engines.exact.HOT_MODULES`
 (the event kernel and the cache tag array) in place, preferring mypyc
 and falling back to Cython.  A successful build drops a ``.so``/``.pyd``
 next to each source file; the import system then prefers it, and the
-``compiled`` engine reports ``native=True``.  Nothing else changes —
-the compiled kernel is behaviourally identical to the pure-Python one
-(the golden-trace test proves it).
+exact engine's fingerprint reports ``native: true``.  Nothing else
+changes — the compiled kernel is behaviourally identical to the
+pure-Python one (the golden-trace test proves it).
 
 With neither toolchain installed this script prints what to install
-and exits 0: the compiled engine is an *optional* accelerator, and
-every consumer (CI's compiled leg, the bench suite) must degrade
-gracefully to pure Python.  Pass ``--require`` to exit 1 instead when
+and exits 0: a native build is an *optional* accelerator, and every
+consumer (CI's native leg, the bench suite) must degrade gracefully to
+pure Python.  Pass ``--require`` to exit 1 instead when
 no native build was produced, and ``--clean`` to remove build
 artefacts.
 """
@@ -29,7 +29,7 @@ REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 SRC = os.path.join(REPO_ROOT, "src")
 sys.path.insert(0, SRC)
 
-from repro.engines.compiled import HOT_MODULES  # noqa: E402
+from repro.engines.exact import HOT_MODULES  # noqa: E402
 
 
 def _sources() -> list:
@@ -74,7 +74,7 @@ def _verify() -> bool:
     ``sys.modules``; a subprocess sees what the next user will see.
     """
     probe = (
-        "from repro.engines.compiled import native_modules\n"
+        "from repro.engines.exact import native_modules\n"
         "import json; print(json.dumps(native_modules()))\n"
     )
     completed = subprocess.run(
@@ -124,10 +124,10 @@ def main(argv=None) -> int:
         clean()
         return 0
     if build():
-        print("native build OK: the compiled engine now reports native=True")
+        print("native build OK: the exact engine now reports native=True")
         return 0
     print(
-        "no native build produced -- the compiled engine will run the\n"
+        "no native build produced -- the exact engine will run the\n"
         "pure-Python modules (identical behaviour, no speedup).\n"
         "To enable: pip install mypy  (for mypyc)  or  pip install cython"
     )
