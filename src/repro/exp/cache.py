@@ -143,9 +143,13 @@ class ResultCache:
         The shard directory is created on demand so callers may write
         to the returned path directly.
         """
-        shard = os.path.join(self.root, self.shard_of(key))
-        os.makedirs(shard, exist_ok=True)
-        return os.path.join(shard, f"{key}.json")
+        path = self._entry_path(key)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        return path
+
+    def _entry_path(self, key: str) -> str:
+        """:meth:`path_for` without creating the shard (reads only)."""
+        return os.path.join(self.root, self.shard_of(key), f"{key}.json")
 
     def _legacy_path_for(self, key: str) -> str:
         """Pre-shard flat location of ``key`` (migration source only)."""
@@ -154,19 +158,20 @@ class ResultCache:
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The cached result for ``key``, or None on miss.
 
-        A present-but-unreadable entry (truncated write, disk hiccup,
-        manual tampering) is quarantined rather than crashing the sweep
-        or silently masking the damage: the file moves to
-        ``<root>/corrupt/<shard>/`` and the caller re-simulates.
+        A miss creates nothing on disk.  A present-but-unreadable entry
+        (truncated write, disk hiccup, manual tampering) is quarantined
+        rather than crashing the sweep or silently masking the damage:
+        the file moves to ``<root>/corrupt/<shard>/`` and the caller
+        re-simulates.
         """
-        path = self.path_for(key)
+        path = self._entry_path(key)
         if not os.path.exists(path):
             legacy = self._legacy_path_for(key)
             if os.path.exists(legacy):
                 # Transparent migration: relocate the flat entry into
                 # its shard, then validate it like any other read.
                 try:
-                    os.replace(legacy, path)
+                    os.replace(legacy, self.path_for(key))
                     self.migrated += 1
                 except OSError:
                     return None

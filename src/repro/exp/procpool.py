@@ -29,21 +29,37 @@ The pool has two modes sharing one engine:
   completion (the sweep runner and fuzz campaigns use this); every
   item yields exactly one :class:`PoolResult`;
 * **persistent** — :meth:`start` boots a long-lived worker fleet,
-  :meth:`submit` feeds it one item at a time, :meth:`poll` drives one
-  monitor iteration and returns at most one terminal result, and
+  :meth:`submit` feeds it one item at a time (straight to an idle
+  worker when there is one), :meth:`poll` waits for, reaps and
+  retries, returning at most one terminal result per call, and
   :meth:`close` tears the fleet down — ``close(drain=True)`` finishes
   every in-flight and queued job first (graceful drain), the default
   ``drain=False`` is the kill-oriented teardown batch mode always had.
   The campaign service's worker bridge is built on this mode.
+
+A job is handed to an idle worker the moment one can exist: when the
+job is submitted, when the fleet starts, and when a worker's result is
+collected (which frees it).  None of these waits for the next
+:meth:`poll`, so a job never sits queued beside an idle worker for the
+length of a poll's wait.  A backed-off retry is released at the first
+poll after it falls due.
 
 Requeue backoff is **deterministic**: attempt ``k`` of a job waits
 ``min(backoff_s * 2**(k-1), backoff_cap_s)`` seconds before it becomes
 runnable again — no jitter, no randomness — so a replayed schedule of
 submissions produces the same retry timeline.
 
-The pool is deliberately dumb about scheduling (first idle worker
-wins) and smart about accounting: every submitted item eventually
-yields exactly one :class:`PoolResult`.
+The pool is deliberately dumb about scheduling (due retries first,
+then the oldest submission, each to the first idle worker) and smart
+about accounting: every submitted item eventually yields exactly one
+:class:`PoolResult`.
+
+Threading: :meth:`submit` may run on another thread than the one
+driving :meth:`poll` (the service's HTTP loop submits while its worker
+bridge polls).  Every read or write of a worker's assignment and of
+the fleet's slots happens under one lock, and the lock is never held
+across a process start, ``join``, ``terminate`` or ``kill`` — so a
+submission never waits on a worker being replaced.
 """
 
 from __future__ import annotations
@@ -165,6 +181,14 @@ class _Worker:
     def idle(self) -> bool:
         return self.current is None and self.process.is_alive()
 
+    def kill(self) -> None:
+        """Terminate a wedged worker now; escalate to SIGKILL."""
+        self.process.terminate()
+        self.process.join(timeout=1.0)
+        if self.process.is_alive():  # pragma: no cover - kill escalation
+            self.process.kill()
+            self.process.join(timeout=1.0)
+
     def stop(self) -> None:
         """Best-effort graceful stop; escalate to terminate."""
         if self.process.is_alive():
@@ -192,7 +216,8 @@ class ResilientPool:
     mode is ``start()`` + ``submit()`` + ``poll()`` + ``close()``;
     ``submit`` may be called from a different thread than the one
     driving ``poll`` (the service's HTTP loop submits while the worker
-    bridge polls) — shared accounting is lock-protected.
+    bridge polls) — worker assignments, fleet slots and shared
+    accounting are lock-protected.
     """
 
     def __init__(
@@ -256,27 +281,32 @@ class ResilientPool:
         return min(self.backoff_s * (2 ** (attempt - 1)), self.backoff_cap_s)
 
     def start(self, n_workers: Optional[int] = None) -> None:
-        """Boot the worker fleet (idempotent)."""
+        """Boot the worker fleet (idempotent); queued items start at once."""
         if self._started:
             return
         self._result_queue = multiprocessing.Queue()
-        self._pool = [
+        fleet = [
             _Worker(self.fn, self._result_queue)
             for _ in range(n_workers if n_workers is not None else self.workers)
         ]
+        with self._lock:
+            self._pool = fleet
+            self._dispatch()
         self._started = True
 
     def submit(self, item: Any) -> int:
         """Queue one item; returns its pool index (submission order).
 
-        Legal before :meth:`start` — the item waits in the ready queue
-        until a fleet exists (recovery replays submissions this way).
+        An idle worker takes the item before this returns.  Legal
+        before :meth:`start` — the item waits in the ready queue until
+        a fleet exists (recovery replays submissions this way).
         """
         with self._lock:
             index = self._next_index
             self._next_index += 1
             self._outstanding += 1
             self._ready.insert(0, (index, item, 1))
+            self._dispatch()
         return index
 
     def close(
@@ -301,9 +331,10 @@ class ResilientPool:
                 result = self.poll()
                 if result is not None:
                     drained.append(result)
-        for worker in self._pool:
+        with self._lock:
+            fleet, self._pool = self._pool, []
+        for worker in fleet:
             worker.stop()
-        self._pool = []
         if self._result_queue is not None:
             self._result_queue.close()
             self._result_queue = None
@@ -328,11 +359,13 @@ class ResilientPool:
             self.close()
 
     def poll(self, timeout: float = _POLL_S) -> Optional[PoolResult]:
-        """One monitor iteration: assign, reap, wait up to ``timeout``.
+        """One monitor iteration: release due retries, wait, reap.
 
-        Returns a terminal :class:`PoolResult` when one completed, else
-        None.  Call repeatedly; each submitted item produces exactly
-        one result across calls.
+        Waits up to ``timeout`` for a worker's result, then reaps
+        crashed and overdue workers.  Returns a terminal
+        :class:`PoolResult` when one completed, else None.  Call
+        repeatedly from one thread; each submitted item produces
+        exactly one result across calls.
         """
         now = time.monotonic()
         with self._lock:
@@ -340,9 +373,7 @@ class ResilientPool:
                 if due <= now:
                     self._retries.remove((due, job))
                     self._ready.append(job)  # retries jump the line
-            for worker in self._pool:
-                if worker.idle and self._ready:
-                    worker.assign(self._ready.pop())
+            self._dispatch()
         result = self._poll_queue(timeout)
         if result is not None:
             if result.index in self._done:
@@ -355,23 +386,41 @@ class ResilientPool:
             return result
         return self._reap_workers(time.monotonic())
 
+    def _dispatch(self) -> None:
+        """Give ready jobs to idle workers; the caller holds the lock.
+
+        ``_ready`` pops from its end, where promoted retries land, so
+        retries go first and then submissions, oldest first.
+        """
+        for worker in self._pool:
+            if not self._ready:
+                return
+            if worker.idle:
+                worker.assign(self._ready.pop())
+
     def _reap_workers(self, now: float) -> Optional[PoolResult]:
-        """Detect crashed/overdue workers; at most one terminal result."""
-        for slot, worker in enumerate(self._pool):
-            if worker.current is None:
-                if not worker.process.is_alive():
-                    # An idle worker died (e.g. an external kill):
-                    # replace it so capacity is not lost.
-                    worker.stop()
-                    self._pool[slot] = _Worker(self.fn, self._result_queue)
-                    self._replaced_workers += 1
+        """Detect crashed/overdue workers; at most one terminal result.
+
+        Only the verdict and the slot swap hold the lock: a concurrent
+        :meth:`submit` never waits on a process start, stop or kill.
+        """
+        for slot in range(len(self._pool)):
+            with self._lock:
+                worker = self._pool[slot]
+                job = worker.current
+                status = self._reap_status(worker, now)
+            if status is None:
                 continue
-            recovered = self._reap(worker, now)
-            if recovered is None:
-                continue
-            self._pool[slot] = _Worker(self.fn, self._result_queue)
+            replacement = _Worker(self.fn, self._result_queue)
+            if status == "timeout":
+                worker.kill()
+            else:
+                worker.stop()
+            with self._lock:
+                self._pool[slot] = replacement
             self._replaced_workers += 1
-            job, status = recovered
+            if job is None:
+                continue  # an idle worker died: capacity restored
             index, item, attempt = job
             if index in self._done:
                 continue
@@ -405,9 +454,27 @@ class ResilientPool:
             return failure
         return None
 
+    def _reap_status(self, worker: _Worker, now: float) -> Optional[str]:
+        """Why ``worker`` must be replaced, or None; caller holds the lock.
+
+        ``"crash"`` for a dead worker (busy or idle), ``"timeout"`` for
+        a live one past its deadline.  Neither can change under the
+        caller afterwards: only an idle *live* worker takes new work,
+        and only the polling thread frees a busy one.
+        """
+        if not worker.process.is_alive():
+            return "crash"
+        if (
+            worker.current is not None
+            and self.timeout_s is not None
+            and now - worker.assigned_at > self.timeout_s
+        ):
+            return "timeout"
+        return None
+
     # -- monitoring ----------------------------------------------------------
     def _poll_queue(self, timeout: float) -> Optional[PoolResult]:
-        """One bounded wait on the result queue; releases the sender."""
+        """One bounded wait on the result queue; frees and refills the sender."""
         try:
             pid, index, status, value, wall_s = self._result_queue.get(
                 timeout=timeout
@@ -415,13 +482,14 @@ class ResilientPool:
         except Exception:  # queue.Empty (raised lazily via multiprocessing)
             return None
         attempts = 1
-        for worker in self._pool:
-            if worker.process.pid == pid and worker.current is not None:
-                if worker.current[0] == index:
-                    attempts = worker.current[2]
-                    worker.current = None
-                break
         with self._lock:
+            for worker in self._pool:
+                if worker.process.pid == pid and worker.current is not None:
+                    if worker.current[0] == index:
+                        attempts = worker.current[2]
+                        worker.current = None
+                        self._dispatch()
+                    break
             backoff_spent = self._backoff_spent.get(index, 0.0)
         return PoolResult(
             index=index, status=status, value=value,
@@ -429,53 +497,33 @@ class ResilientPool:
             max_attempts=self.max_attempts, backoff_s=backoff_spent,
         )
 
-    def _reap(self, worker: _Worker, now: float):
-        """Detect a crashed or overdue busy worker; (job, status) or None.
-
-        The caller replaces the worker and decides requeue-vs-report.
-        """
-        if not worker.process.is_alive():
-            job = worker.current
-            worker.stop()
-            return job, "crash"
-        if (
-            self.timeout_s is not None
-            and now - worker.assigned_at > self.timeout_s
-        ):
-            job = worker.current
-            worker.process.terminate()
-            worker.process.join(timeout=1.0)
-            if worker.process.is_alive():  # pragma: no cover - kill escalation
-                worker.process.kill()
-                worker.process.join(timeout=1.0)
-            return job, "timeout"
-        return None
-
     # -- introspection -------------------------------------------------------
     def worker_snapshot(self) -> List[Dict[str, Any]]:
         """Parent-side view of every worker (for /stats and watchdogs)."""
         snapshot = []
         now = time.monotonic()
-        for worker in self._pool:
-            current = worker.current
-            snapshot.append(
-                {
-                    "pid": worker.process.pid,
-                    "alive": worker.process.is_alive(),
-                    "index": current[0] if current is not None else None,
-                    "attempt": current[2] if current is not None else None,
-                    "busy_s": (
-                        round(now - worker.assigned_at, 6)
-                        if current is not None else 0.0
-                    ),
-                }
-            )
+        with self._lock:
+            for worker in self._pool:
+                current = worker.current
+                snapshot.append(
+                    {
+                        "pid": worker.process.pid,
+                        "alive": worker.process.is_alive(),
+                        "index": current[0] if current is not None else None,
+                        "attempt": current[2] if current is not None else None,
+                        "busy_s": (
+                            round(now - worker.assigned_at, 6)
+                            if current is not None else 0.0
+                        ),
+                    }
+                )
         return snapshot
 
     def active_indices(self) -> List[int]:
         """Pool indices currently assigned to a live worker."""
-        return [
-            worker.current[0]
-            for worker in self._pool
-            if worker.current is not None and worker.process.is_alive()
-        ]
+        with self._lock:
+            return [
+                worker.current[0]
+                for worker in self._pool
+                if worker.current is not None and worker.process.is_alive()
+            ]

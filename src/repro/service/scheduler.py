@@ -4,8 +4,11 @@ The scheduler owns all job state.  It runs on the asyncio event loop;
 the only blocking work — waiting on the worker pool's result queue —
 happens in :meth:`Scheduler.pump` via ``run_in_executor``, so one
 OS thread bridges the loop and the :class:`~repro.exp.procpool.
-ResilientPool` fleet (the pool's ``submit`` is lock-protected for
-exactly this pattern).
+ResilientPool` fleet.  The pool's ``submit`` is lock-protected for
+exactly this pattern, and it dispatches: a job admitted while a worker
+sits idle starts on that worker before ``submit`` returns, without
+waiting for the pump.  The pump collects results (each collection
+hands the freed worker its next job), reaps and releases retries.
 
 Admission discipline, in order:
 
@@ -18,7 +21,9 @@ Admission discipline, in order:
 4. **cached?** → the entry is born ``done`` without touching a worker;
 5. **queue full?** → :class:`QueueFullError` (HTTP 429 + Retry-After,
    load shedding — the queue is bounded, memory is not the backstop);
-6. otherwise journal the submission, then hand it to the pool.
+6. otherwise journal the submission, then hand it to the pool, which
+   starts it at once on an idle worker or queues it for the next free
+   one.
 
 The journal line precedes the pool handoff, so a crash between the
 two re-runs the job on recovery instead of losing it.
@@ -65,7 +70,7 @@ class JobEntry:
     __slots__ = (
         "job_id", "payload", "label", "cacheable", "status", "detail",
         "result", "attempts", "max_attempts", "backoff_s", "submitters",
-        "pool_index", "terminal_event", "subscribers", "recovered",
+        "pool_index", "_terminal_event", "subscribers", "recovered",
         "served_from_cache",
     )
 
@@ -85,7 +90,8 @@ class JobEntry:
         self.backoff_s = 0.0
         self.submitters = 1
         self.pool_index: Optional[int] = None
-        self.terminal_event = asyncio.Event()
+        #: created by the first long-poll on a live entry, dropped once set
+        self._terminal_event: Optional[asyncio.Event] = None
         #: per-SSE-connection queues fed on every status transition
         self.subscribers: List[asyncio.Queue] = []
         self.recovered = False
@@ -94,6 +100,23 @@ class JobEntry:
     @property
     def terminal(self) -> bool:
         return self.status in TERMINAL_STATUSES
+
+    def wake_waiters(self) -> None:
+        """Release every long-poll on this entry; call on turning terminal."""
+        event, self._terminal_event = self._terminal_event, None
+        if event is not None:
+            event.set()
+
+    async def wait_terminal(self, timeout: float) -> None:
+        """Wait up to ``timeout`` seconds for the entry to turn terminal."""
+        if self.terminal:
+            return
+        if self._terminal_event is None:
+            self._terminal_event = asyncio.Event()
+        try:
+            await asyncio.wait_for(self._terminal_event.wait(), timeout)
+        except asyncio.TimeoutError:
+            pass  # long-poll expired; the caller reports the live status
 
     def to_dict(self, include_result: bool = True) -> Dict[str, Any]:
         data: Dict[str, Any] = {
@@ -181,7 +204,7 @@ class Scheduler:
                     old.result if old.result is not None
                     else (self.cache.get(job_id) if old.cacheable else None)
                 )
-                entry.terminal_event.set()
+                entry.wake_waiters()
                 self.stats_counters["recovered_done"] += 1
             else:
                 cached = self.cache.get(job_id) if old.cacheable else None
@@ -189,7 +212,7 @@ class Scheduler:
                     entry.status = "done"
                     entry.result = cached
                     entry.served_from_cache = True
-                    entry.terminal_event.set()
+                    entry.wake_waiters()
                     self.journal.terminal(
                         job_id, "done", served_from_cache=True
                     )
@@ -260,7 +283,7 @@ class Scheduler:
             entry.status = "done"
             entry.result = cached
             entry.served_from_cache = True
-            entry.terminal_event.set()
+            entry.wake_waiters()
             self.jobs[job_id] = entry
             self.stats_counters["cache_hits"] += 1
             self.stats_counters["accepted"] += 1
@@ -336,7 +359,7 @@ class Scheduler:
                 attempts=result.attempts,
             )
         self.stats_counters[f"terminal_{entry.status}"] += 1
-        entry.terminal_event.set()
+        entry.wake_waiters()
         self._notify(entry)
 
     def _notify(self, entry: JobEntry) -> None:

@@ -268,13 +268,8 @@ class CampaignService:
                 await writer.drain()
                 return
         wait_s = max(0.0, min(wait_s, self.config.max_wait_s))
-        if wait_s and not entry.terminal:
-            try:
-                await asyncio.wait_for(
-                    entry.terminal_event.wait(), timeout=wait_s
-                )
-            except asyncio.TimeoutError:
-                pass  # long-poll expired; report the live status
+        if wait_s:
+            await entry.wait_terminal(wait_s)
         writer.write(json_response(200, entry.to_dict()))
         await writer.drain()
 

@@ -250,6 +250,12 @@ class TestSharding:
         path = cache.path_for(key)
         assert path == os.path.join(str(tmp_path), key[:2], f"{key}.json")
 
+    def test_miss_creates_no_directory(self, tmp_path, spec):
+        root = tmp_path / "cache"
+        cache = ResultCache(str(root))
+        assert cache.get(cache.key_for(_payload(spec))) is None
+        assert os.listdir(str(root)) == []
+
     def test_put_writes_into_the_shard(self, tmp_path, spec):
         cache = ResultCache(str(tmp_path))
         key = cache.key_for(_payload(spec))

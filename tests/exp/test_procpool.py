@@ -1,6 +1,7 @@
 """ResilientPool: ordering, crash recovery, timeouts, error reporting."""
 
 import os
+import threading
 import time
 
 import pytest
@@ -215,6 +216,79 @@ class TestPersistentMode:
             assert pool.active_indices() == [busy["index"]]
         finally:
             pool.close()
+
+    def test_submit_dispatches_to_an_idle_worker(self):
+        pool = ResilientPool(_sleep_forever, workers=1, timeout_s=30.0)
+        try:
+            pool.start()
+            index = pool.submit("x")
+            # No poll(): the idle worker took the job inside submit().
+            assert pool.queued == 0
+            assert pool.active_indices() == [index]
+        finally:
+            pool.close()
+
+    def test_collecting_a_result_dispatches_the_next_job(self):
+        pool = ResilientPool(_square, workers=1)
+        try:
+            pool.start()
+            first = pool.submit(3)
+            second = pool.submit(4)
+            assert pool.queued == 1  # one worker, already busy
+            deadline = time.monotonic() + 30
+            result = None
+            while result is None and time.monotonic() < deadline:
+                result = pool.poll(timeout=0.2)
+            assert result is not None and result.index == first
+            # The poll that collected the first result freed the worker
+            # and handed it the second job before returning.
+            assert pool.queued == 0
+            assert pool.active_indices() == [second]
+        finally:
+            pool.close()
+
+    def test_concurrent_submit_and_poll_yield_one_result_each(
+        self, monkeypatch
+    ):
+        from repro.exp import procpool
+
+        double_bookings = []
+        assign = procpool._Worker.assign
+
+        def checked_assign(worker, job):
+            if worker.current is not None:
+                double_bookings.append((worker.current, job))
+            assign(worker, job)
+
+        monkeypatch.setattr(procpool._Worker, "assign", checked_assign)
+        pool = ResilientPool(_square, workers=2)
+        submitted = []
+        try:
+            pool.start()
+
+            def submitter():
+                for n in range(200):
+                    submitted.append(pool.submit(n))
+
+            thread = threading.Thread(target=submitter)
+            thread.start()
+            results = []
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline and (
+                thread.is_alive() or pool.outstanding
+            ):
+                result = pool.poll(timeout=0.05)
+                if result is not None:
+                    results.append(result)
+                active = pool.active_indices()
+                assert len(active) == len(set(active))
+            thread.join()
+        finally:
+            pool.close()
+        assert double_bookings == []
+        assert sorted(r.index for r in results) == sorted(submitted)
+        assert len(submitted) == 200
+        assert all(r.ok and r.value == r.index ** 2 for r in results)
 
 
 class TestBackoff:

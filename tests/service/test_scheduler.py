@@ -7,6 +7,8 @@ runs.  The full pipeline (with real workers and real sockets) lives in
 ``test_api.py``.
 """
 
+import asyncio
+
 import pytest
 
 from repro.errors import ConfigError
@@ -125,6 +127,18 @@ class TestAdmission:
             scheduler.submit(probe(1))
         scheduler.shutdown()
 
+    def test_idle_worker_takes_a_fresh_job_inside_submit(self, tmp_path):
+        scheduler = make_scheduler(tmp_path)
+        scheduler.pool.start()
+        try:
+            verdict = scheduler.submit(probe(1))
+            # No pump iteration has run: the pool dispatched on submit.
+            assert scheduler.queue_depth() == 0
+            entry = scheduler.jobs[verdict["job_id"]]
+            assert scheduler.pool.active_indices() == [entry.pool_index]
+        finally:
+            scheduler.shutdown()
+
     def test_retry_after_is_bounded(self, tmp_path):
         scheduler = make_scheduler(tmp_path, max_queue=1000, timeout_s=9999.0)
         for nonce in range(10):
@@ -203,4 +217,45 @@ class TestStats:
             assert field in stats
         assert stats["jobs_known"] == 1
         assert stats["counters"]["accepted"] == 1
+        scheduler.shutdown()
+
+
+class TestLongPollEvent:
+    """A job entry holds an Event only while a long-poll waits on it."""
+
+    def test_done_entry_holds_no_event(self, tmp_path):
+        scheduler = make_scheduler(tmp_path)
+        from repro.exp.jobs import job_from_payload
+
+        payload = {"kind": "sequence", "protocols": ["mei", "mesi"],
+                   "wrapped": True}
+        canonical = job_from_payload(payload).payload()
+        key = scheduler.cache.key_for(canonical)
+        scheduler.cache.put(key, canonical, {"stale_reads": 0})
+        scheduler.submit(payload)
+        assert scheduler.jobs[key]._terminal_event is None
+        scheduler.shutdown()
+
+    def test_long_poll_on_live_job_wakes_at_terminal(self, tmp_path):
+        scheduler = make_scheduler(tmp_path)
+        entry = scheduler.jobs[scheduler.submit(probe(1))["job_id"]]
+
+        async def go():
+            waiter = asyncio.ensure_future(entry.wait_terminal(30.0))
+            await asyncio.sleep(0)
+            assert entry._terminal_event is not None
+            entry.status = "done"
+            entry.wake_waiters()
+            await asyncio.wait_for(waiter, timeout=5.0)
+
+        asyncio.run(go())
+        assert entry._terminal_event is None
+        scheduler.shutdown()
+
+    def test_long_poll_on_done_job_answers_at_once(self, tmp_path):
+        scheduler = make_scheduler(tmp_path)
+        entry = scheduler.jobs[scheduler.submit(probe(1))["job_id"]]
+        entry.status = "done"
+        asyncio.run(asyncio.wait_for(entry.wait_terminal(30.0), timeout=1.0))
+        assert entry._terminal_event is None
         scheduler.shutdown()
