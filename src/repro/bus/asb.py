@@ -5,7 +5,9 @@ One bus tenure is::
     arbitration (1 cycle) -> address phase (1 cycle, snooped) -> data phase
 
 At the address phase every attached snooper other than the issuing
-master is consulted *combinationally* (a synchronous call).  Outcomes:
+master is consulted *combinationally* (a synchronous call), except a
+presence-filtered snooper whose cache the bus knows does not hold the
+line (see :meth:`AsbBus._snoop_window`).  Outcomes:
 
 * all OK / SHARED / SUPPLY -> the data phase proceeds (cache-to-cache
   supply replaces the memory access when a MOESI owner intervenes);
@@ -24,7 +26,9 @@ checker relies on.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, FrozenSet, Generator, List, Optional, Tuple,
+)
 
 from ..errors import BusError, LivelockError
 from ..sim import Clock, Simulator, Stats, Tracer
@@ -77,6 +81,10 @@ class Snooper:
 
     ``master_name`` identifies the master whose own transactions this
     snooper must ignore (a cache does not snoop its own fills).
+
+    ``presence_filtered`` declares that a snoop on a line its master's
+    cache array does not hold answers OK with no side effect, so the
+    bus may skip it.
     """
 
     # Pure interface: no instance state of its own, and an empty
@@ -85,6 +93,7 @@ class Snooper:
     __slots__ = ()
 
     master_name: str = ""
+    presence_filtered: bool = False
 
     def snoop(self, txn: Transaction) -> SnoopReply:
         """Answer one address phase (called with the bus held)."""
@@ -93,8 +102,10 @@ class Snooper:
     def observe(self, txn: Transaction) -> None:
         """Passive tap invoked for *every* transaction, own included.
 
-        Used by the snoop-logic TAG CAM to track the non-coherent
-        processor's allocations; default is a no-op.
+        Never filtered by presence.  No shipped snooper overrides it
+        (the snoop-logic TAG CAM is fed by the controller's
+        install/remove listeners); fault proxies forward it.  Default
+        is a no-op.
         """
 
 
@@ -138,6 +149,13 @@ class AsbBus:  # repro: lint-ok[slots]
         #: address phase) and an ARTRY livelock are different failures
         #: and must never be conflated in a LivelockError.
         self._cancel_streaks: Dict[str, int] = {}
+        #: line base -> bitmask of registered masters holding it valid
+        self._presence: Dict[int, int] = {}
+        #: registered master name -> its presence bit
+        self._master_bits: Dict[str, int] = {}
+        #: clears the offset within a line (all ones until a master
+        #: registers its cache geometry)
+        self._line_mask = -1
 
     def inflight_tenures(self) -> List[TenureState]:
         """Live :class:`TenureState` for every in-flight transaction."""
@@ -159,12 +177,36 @@ class AsbBus:  # repro: lint-ok[slots]
         self.snoopers.remove(snooper)
 
     def register_master(self, master: str, controller) -> None:
-        """Topology hook called once per coherent master at build time.
+        """Mirror ``controller``'s line occupancy into the presence map.
 
-        Fabrics that track per-master line occupancy (the directory)
-        override this to install presence listeners on the cache
-        controller; the broadcast bus needs nothing.
+        Called once per master at build time.  Installs fire inside the
+        bus-held commit; removals fire inside snoop windows, evictions
+        and flushes — all serialised per line by the arbitration
+        domain, so the map is never stale when a window consults it.
         """
+        # One system-wide line size (PlatformConfig validates it).
+        self._line_mask = ~(controller.geom.line_bytes - 1)
+        bit = 1 << len(self._master_bits)
+        self._master_bits[master] = bit
+        presence = self._presence
+
+        def install(base: int) -> None:
+            presence[base] = presence.get(base, 0) | bit
+
+        def remove(base: int) -> None:
+            holders = presence.get(base, 0) & ~bit
+            if holders:
+                presence[base] = holders
+            else:
+                presence.pop(base, None)
+
+        controller.install_listeners.append(install)
+        controller.remove_listeners.append(remove)
+
+    def holders(self, base: int) -> FrozenSet[str]:
+        """Names of the registered masters holding line ``base`` valid."""
+        mask = self._presence.get(base, 0)
+        return frozenset(name for name, bit in self._master_bits.items() if mask & bit)
 
     # -- the tenure ----------------------------------------------------------
     def transact(
@@ -230,7 +272,7 @@ class AsbBus:  # repro: lint-ok[slots]
                         sim.now, txn.master, "address-phase",
                         op=txn.op.value, addr=txn.addr, retry_no=txn.retries,
                     )
-                retriers, shared, supplier = self._snoop_window(txn)
+                retriers, shared, supplier = resolve_window(self._snoop_window(txn))
                 if retriers:
                     # ARTRY: abort the tenure, back off until drains finish.
                     yield from self._abort_tenure(txn, tenure_start)
@@ -357,24 +399,44 @@ class AsbBus:  # repro: lint-ok[slots]
         if self._cancel_streaks:
             self._cancel_streaks.pop(txn.master, None)
 
-    def _snoop_window(self, txn: Transaction):
-        """Snoop every other master; the resolved window (see resolve_window)."""
+    def _snoop_window(self, txn: Transaction) -> List[Tuple[str, SnoopReply]]:
+        """Snoop every other master that may hold the line.
+
+        Returns the window's ``(responder, reply)`` pairs in snoop order,
+        for :func:`~repro.bus.types.resolve_window`.
+
+        ``observe`` reaches every snooper.  ``snoop`` is skipped only for
+        a presence-filtered snooper whose master is registered and does
+        not hold the line: it would answer OK with no side effect.
+        Snoop logic (its TAG CAM can hold tags the array does not) and
+        fault proxies (they count every snoop occasion) are never
+        filtered.  The holders are read once, before any snoop
+        invalidates a copy.
+        """
         replies: List[Tuple[str, SnoopReply]] = []
         trace = self._trace_bus
+        master = txn.master
+        holders = self._presence.get(txn.addr & self._line_mask, 0)
+        bits = self._master_bits
         # Snapshot: a snoop callback may detach a snooper (fault-proxy
         # teardown) and must not mutate the sequence being iterated.
         for snooper in tuple(self.snoopers):
             snooper.observe(txn)
-            if snooper.master_name == txn.master:
+            name = snooper.master_name
+            if name == master:
                 continue
+            if snooper.presence_filtered:
+                bit = bits.get(name)
+                if bit is not None and not holders & bit:
+                    continue
             reply = snooper.snoop(txn)
             if reply.action is not SnoopAction.OK and trace.enabled:
                 trace.emit(
-                    self.sim.now, snooper.master_name, "snoop",
+                    self.sim.now, name, "snoop",
                     op=txn.op.value, addr=txn.addr, action=reply.action.value,
                 )
-            replies.append((snooper.master_name, reply))
-        return resolve_window(replies)
+            replies.append((name, reply))
+        return replies
 
     def _data_phase(self, txn: Transaction, supplier: Optional[Tuple[str, SnoopReply]]):
         if supplier is not None:

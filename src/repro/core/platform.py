@@ -356,8 +356,8 @@ class Platform:
         self.cores.append(core)
         self.controllers.append(controller)
         self._by_name[cfg.name] = index
-        # Fabrics that track per-master line occupancy (the directory)
-        # hook the controller's install/remove listeners here.
+        # The bus mirrors this cache's line occupancy into its presence
+        # map (the controller's install/remove listeners).
         self.bus.register_master(cfg.name, controller)
 
     def _attach_coherence(self) -> None:

@@ -42,6 +42,10 @@ __all__ = ["Wrapper"]
 class Wrapper(Snooper):
     """Protocol-conversion wrapper around one coherent cache controller."""
 
+    # A snoop on a line the array does not hold is a MISS: reply OK,
+    # no state change, no drain — so the bus may skip it.
+    presence_filtered = True
+
     def __init__(
         self,
         sim: Simulator,

@@ -1,20 +1,18 @@
 """A directory-based coherence interconnect.
 
-Instead of broadcasting every address phase to every cache, a
-**directory** records, per line, exactly which caches hold a copy, and
-forwards snoops point-to-point to those caches only (cf. the
+A **directory** records, per line, exactly which caches hold a copy,
+and forwards snoops point-to-point to those caches only (cf. the
 phase-priority directory-coherence line of work, arXiv:1305.3038).
-Two structural differences from the snoopy fabrics:
 
-* **Presence tracking.** :meth:`register_master` installs listeners on
-  each cache controller's install/remove hooks (the same hooks the
-  snoop logic's TAG CAM mirrors), so the directory's sharer/owner set
-  per line is an exact mirror of which caches hold the line valid.
-  Consulting only those caches is equivalent to broadcast: a cache
-  without the line answers every snoop MISS/OK, contributing nothing.
-  ``observe`` taps remain broadcast — the snoop-logic TAG CAM needs to
-  see its own master's transactions regardless of presence.
-* **Home banks.** The line address hashes to one of ``banks``
+* **Forwarding.** The sharer set is the presence map every
+  :class:`~repro.bus.asb.AsbBus` keeps (fed by each cache controller's
+  install/remove listeners, an exact mirror of which caches hold the
+  line valid), and forwarding is the shared presence-filtered snoop
+  window.  That is equivalent to broadcast: a cache without the line
+  answers every snoop MISS/OK, contributing nothing.  The directory
+  adds only its lookup and forward counters.
+* **Home banks.** The structural difference from the snoopy fabrics.
+  The line address hashes to one of ``banks``
   per-home arbiters (each an instance of the configured service
   discipline), so transactions to different homes proceed
   concurrently — the scaling win over a single snoopy bus.  Same-line
@@ -23,19 +21,17 @@ Two structural differences from the snoopy fabrics:
   bank tenure is atomic (address + directory lookup + data), and the
   lookup adds ``DIRECTORY_LOOKUP_CYCLES`` to every address phase.
 
-The protocol tables, wrapper conversions, ARTRY/drain handover and
-validate-cancel semantics are all reused unchanged from the ASB model;
-only *who is consulted* and *how tenures are arbitrated* differ.
+The protocol tables, wrapper conversions, snoop window, ARTRY/drain
+handover and validate-cancel semantics are all reused unchanged from
+the ASB model; only *how tenures are arbitrated* differs.
 Fabric-specific counters use the ``fabric.dir.`` prefix.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Set, Tuple
+from typing import Dict, Generator, Tuple
 
-from ..bus.types import (
-    BusResult, Priority, SnoopAction, SnoopReply, Transaction, resolve_window,
-)
+from ..bus.types import BusResult, Priority, Transaction, resolve_window
 from ..bus.asb import TenureState
 from .atomic import AtomicFabric
 from .registry import register_fabric
@@ -115,8 +111,6 @@ class DirectoryFabric(AtomicFabric):
         self._banks: Tuple = tuple(arbiter_factory() for _ in range(max(1, banks)))
         #: the watchdog-facing aggregate over the home banks
         self.arbiter = BankedArbiter(self._banks)
-        #: line base -> set of master names holding the line valid
-        self._presence: Dict[int, Set[str]] = {}
 
     @classmethod
     def build(
@@ -160,32 +154,7 @@ class DirectoryFabric(AtomicFabric):
             "inflight": [t.describe() for t in self.inflight_tenures()],
         }
 
-    # -- presence directory -------------------------------------------------
-    def register_master(self, master: str, controller) -> None:
-        """Mirror ``controller``'s line occupancy into the directory.
-
-        Installs fire inside the bus-held commit; removals fire inside
-        snoop windows, evictions and flushes — all serialised per line
-        by the home bank, so the directory is never stale when
-        consulted.
-        """
-        controller.install_listeners.append(
-            lambda base, m=master: self._presence.setdefault(base, set()).add(m)
-        )
-        controller.remove_listeners.append(
-            lambda base, m=master: self._discard(base, m)
-        )
-
-    def _discard(self, base: int, master: str) -> None:
-        holders = self._presence.get(base)
-        if holders is not None:
-            holders.discard(master)
-            if not holders:
-                del self._presence[base]
-
-    def _line_base(self, addr: int) -> int:
-        return addr - (addr % self.line_bytes)
-
+    # -- home banks ---------------------------------------------------------
     def _bank_for(self, addr: int):
         return self._banks[(addr // self.line_bytes) % len(self._banks)]
 
@@ -237,7 +206,7 @@ class DirectoryFabric(AtomicFabric):
                         sim.now, txn.master, "address-phase",
                         op=txn.op.value, addr=txn.addr, retry_no=txn.retries,
                     )
-                retriers, shared, supplier = self._directory_window(txn)
+                retriers, shared, supplier = resolve_window(self._snoop_window(txn))
                 if retriers:
                     yield from self._abort_tenure(txn, tenure_start)
                     bank.release(txn.master)
@@ -278,36 +247,11 @@ class DirectoryFabric(AtomicFabric):
                 bank.release(txn.master)
 
     # -- internals ----------------------------------------------------------
-    def _directory_window(self, txn: Transaction):
-        """Consult the directory and forward the snoop point-to-point.
-
-        Equivalent to the broadcast window: caches absent from the
-        presence set hold the line INVALID and would answer MISS/OK.
-        Both the snooper list and the sharer set are snapshotted before
-        the walk — a forwarded invalidation mutates the presence set
-        (the remove listener fires), and fault-proxy teardown can
-        detach a snooper mid-window.  Returns the resolved window.
-        """
-        base = self._line_base(txn.addr)
-        sharers = frozenset(self._presence.get(base, ()))
+    def _snoop_window(self, txn: Transaction):
+        """The shared presence-filtered window, counted as a directory
+        lookup plus one forward per snooper consulted."""
         self.stats.bump("fabric.dir.lookups")
-        replies: List[Tuple[str, SnoopReply]] = []
-        trace = self._trace_bus
-        snoopers = tuple(self.snoopers)
-        for snooper in snoopers:
-            # Passive taps stay broadcast: the snoop-logic TAG CAM must
-            # see its own master's transactions to track allocations.
-            snooper.observe(txn)
-        for snooper in snoopers:
-            name = snooper.master_name
-            if name == txn.master or name not in sharers:
-                continue
-            self.stats.bump("fabric.dir.forwards")
-            reply = snooper.snoop(txn)
-            if reply.action is not SnoopAction.OK and trace.enabled:
-                trace.emit(
-                    self.sim.now, name, "snoop",
-                    op=txn.op.value, addr=txn.addr, action=reply.action.value,
-                )
-            replies.append((name, reply))
-        return resolve_window(replies)
+        window = super()._snoop_window(txn)
+        if window:
+            self.stats.bump("fabric.dir.forwards", len(window))
+        return window

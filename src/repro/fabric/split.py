@@ -38,7 +38,7 @@ from collections import deque
 from typing import Deque, Dict, Generator, Optional
 
 from ..bus.asb import TenureState
-from ..bus.types import BusResult, Priority, Transaction
+from ..bus.types import BusResult, Priority, Transaction, resolve_window
 from ..sim import Event
 from .atomic import AtomicFabric
 from .registry import register_fabric
@@ -151,7 +151,7 @@ class SplitBus(AtomicFabric):
                         sim.now, txn.master, "address-phase",
                         op=txn.op.value, addr=txn.addr, retry_no=txn.retries,
                     )
-                retriers, shared, supplier = self._snoop_window(txn)
+                retriers, shared, supplier = resolve_window(self._snoop_window(txn))
                 if retriers:
                     # ARTRY semantics as on the atomic bus: the address
                     # tenure aborts; no data slot was consumed.

@@ -171,9 +171,11 @@ def _matrix_cores():
 
 
 def run_entry(
-    entry: Optional[MatrixEntry], max_events: int = MATRIX_MAX_EVENTS
+    entry: Optional[MatrixEntry],
+    max_events: int = MATRIX_MAX_EVENTS,
+    fabric: str = "atomic",
 ) -> MatrixResult:
-    """Run the matrix workload with ``entry``'s fault armed.
+    """Run the matrix workload with ``entry``'s fault armed on ``fabric``.
 
     Pass ``entry=None`` for the fault-free baseline (always expected
     benign — used to sanity-check the workload and to size the benign
@@ -196,6 +198,7 @@ def run_entry(
         trace_channels=("bus", "irq"),
         trace_capacity=256,
         faults=(entry.spec,),
+        fabric=fabric,
     )
     checker = CoherenceChecker(platform)
     platform.load_programs(build_programs(spec, platform))
@@ -256,11 +259,12 @@ def run_entry(
 def run_matrix(
     entries: Optional[Sequence[MatrixEntry]] = None,
     max_events: int = MATRIX_MAX_EVENTS,
+    fabric: str = "atomic",
 ) -> List[MatrixResult]:
     """Run every entry (default: the shipped matrix), baseline first."""
-    results = [run_entry(None, max_events=max_events)]
+    results = [run_entry(None, max_events=max_events, fabric=fabric)]
     for entry in entries if entries is not None else default_matrix():
-        results.append(run_entry(entry, max_events=max_events))
+        results.append(run_entry(entry, max_events=max_events, fabric=fabric))
     return results
 
 

@@ -120,11 +120,13 @@ def _cmd_run(args) -> int:
                 shrunk_path = entry["reproducer"].replace(
                     ".json", ".shrunk.json"
                 )
+                # The shrunk case's own result: its detail (failure
+                # time, first violation) differs from the original's.
                 _write_json(shrunk_path, {
                     "campaign_seed": result.seed,
                     "index": entry["index"],
                     "case": shrunk.shrunk.to_dict(),
-                    "result": entry["result"],
+                    "result": run_case(shrunk.shrunk).to_dict(),
                     "shrink": shrunk.to_dict(),
                 })
                 print(f"    shrunk reproducer: {shrunk_path}")

@@ -1,4 +1,4 @@
-"""Directory fabric: presence tracking, forwarding, home banks."""
+"""Directory fabric: forwarding counters and home banks."""
 
 import pytest
 
@@ -6,11 +6,7 @@ from repro.core.platform import Platform, PlatformConfig
 from repro.cpu.presets import preset_generic
 from repro.fabric import BankedArbiter, DirectoryFabric
 from repro.verify.checker import CoherenceChecker
-from repro.workloads.tracegen import (
-    false_sharing_traces,
-    racy_traces,
-    replay_parallel,
-)
+from repro.workloads.tracegen import false_sharing_traces, replay_parallel
 
 
 def _platform(n=4, **overrides):
@@ -28,31 +24,9 @@ def _platform(n=4, **overrides):
     return Platform(PlatformConfig(**config))
 
 
-def _valid_lines(platform):
-    """master name -> set of valid line base addresses, from the caches."""
-    return {
-        cfg.name: set(controller.cached_addresses())
-        for cfg, controller in zip(platform.config.cores, platform.controllers)
-    }
-
-
 class TestPresence:
-    def test_presence_mirrors_cache_occupancy_exactly(self):
-        platform = _platform()
-        traces = false_sharing_traces(40, procs=4, lines=2, seed=11)
-        replay_parallel(platform, traces)
-        presence = platform.bus._presence
-        expected = {}
-        for master, bases in _valid_lines(platform).items():
-            for base in bases:
-                expected.setdefault(base, set()).add(master)
-        assert presence == expected
-
-    def test_empty_sharer_sets_are_deleted(self):
-        platform = _platform()
-        traces = racy_traces(60, procs=4, footprint_words=8, seed=3)
-        replay_parallel(platform, traces)
-        assert all(platform.bus._presence.values())
+    # Presence mirroring and entry deletion are fabric-independent now
+    # that the map lives in the bus: see tests/bus/test_presence.py.
 
     def test_forwards_are_bounded_by_lookups_times_sharers(self):
         platform = _platform()

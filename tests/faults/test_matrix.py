@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.core.platform import FABRIC_NAMES
 from repro.faults.matrix import (
     default_matrix,
     render_results,
@@ -12,8 +13,13 @@ from repro.faults.matrix import (
     run_matrix,
 )
 
-# Run the full matrix once; individual tests assert per-entry facts.
-_RESULTS = {r.entry.name: r for r in run_matrix()}
+# Run the full matrix once per fabric; individual tests assert
+# per-entry facts (on the default atomic fabric unless parametrized).
+_BY_FABRIC = {
+    fabric: {r.entry.name: r for r in run_matrix(fabric=fabric)}
+    for fabric in FABRIC_NAMES
+}
+_RESULTS = _BY_FABRIC["atomic"]
 
 
 def test_matrix_covers_every_site():
@@ -29,9 +35,15 @@ def test_baseline_workload_is_clean():
     assert baseline.fires == 0
 
 
-@pytest.mark.parametrize("entry", default_matrix(), ids=lambda e: e.name)
-def test_entry_matches_expected_classification(entry):
-    result = _RESULTS[entry.name]
+@pytest.mark.parametrize("fabric,entry", [
+    # The default fabric keeps the bare entry name as its test id.
+    pytest.param(fabric, entry, id=entry.name if fabric == "atomic"
+                 else f"{fabric}-{entry.name}")
+    for fabric in FABRIC_NAMES
+    for entry in default_matrix()
+])
+def test_entry_matches_expected_classification(fabric, entry):
+    result = _BY_FABRIC[fabric][entry.name]
     assert result.ok, (
         f"{entry.name}: expected {entry.expected}, got {result.outcome} "
         f"({result.detail})"

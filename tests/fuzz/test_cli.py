@@ -19,6 +19,17 @@ VIOLATING_DICT = FuzzCase(
     },
 ).to_dict()
 
+#: a violation whose detail (the violation count) shrinks with the case
+SILENT_SNOOP_DICT = FuzzCase(
+    seed=0,
+    protocols=("MESI", "MESI"),
+    fault={"site": "snoop.silent", "count": None},
+    workload={
+        "kind": "racy", "n": 20, "seed": 1,
+        "footprint_words": 4, "write_ratio": 0.5,
+    },
+).to_dict()
+
 
 def write_reproducer(path, case_dict, result=None):
     payload = {"case": case_dict}
@@ -62,6 +73,29 @@ class TestRun:
         )
         assert main(["fuzz", "run", "--cases", "1"]) == 1
         assert "UNEXPECTED" in capsys.readouterr().out
+
+    def test_shrunk_reproducer_replays_byte_identically(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        case = SILENT_SNOOP_DICT
+        reproducer = write_reproducer(tmp_path / "case-0.json", case)
+        fake = CampaignResult(seed=0, n_cases=1)
+        fake.counts = {"violation": 1}
+        fake.unexpected = [{
+            "index": 0, "case": case,
+            "result": run_case(FuzzCase.from_dict(case)).to_dict(),
+            "reproducer": reproducer,
+        }]
+        monkeypatch.setattr(
+            fuzz_cli, "run_campaign", lambda config, progress=None: fake
+        )
+        assert main(["fuzz", "run", "--cases", "1", "--shrink"]) == 1
+        capsys.readouterr()
+        shrunk = str(tmp_path / "case-0.shrunk.json")
+        # The shrunk case reports a different detail than the original,
+        # so only its own recorded result replays byte-identically.
+        assert main(["fuzz", "repro", shrunk]) == 0
+        assert "reproduced byte-identically" in capsys.readouterr().out
 
     def test_bad_cases_count_exits_2(self, capsys):
         assert main(["fuzz", "run", "--cases", "0"]) == 2
