@@ -22,6 +22,10 @@ bus is held (snoopers commit at the address phase; the master commits
 through the ``commit`` callback at the end of the data phase), so state
 updates are fully serialised by bus order — the property the coherence
 checker relies on.
+
+:meth:`AsbBus.transact` is the only tenure loop: the split and
+directory fabrics run it too, overriding only the arbitration domain,
+the address-phase length and the placement of the data occupancy.
 """
 
 from __future__ import annotations
@@ -232,6 +236,12 @@ class AsbBus:  # repro: lint-ok[slots]
         the wire, and broadcasting it anyway would invalidate the
         race winner's freshly-dirtied line without a write-back.
 
+        This is the one tenure loop of every fabric.  A fabric changes
+        only its arbitration domain (:meth:`_arbiter_for`), the length
+        of its address phase (``address_cycles``) and where the data
+        occupancy goes (:meth:`_data_before_commit` /
+        :meth:`_data_after_commit`).
+
         Use as ``result = yield from bus.transact(txn)``.
         """
         sim = self.sim
@@ -241,17 +251,18 @@ class AsbBus:  # repro: lint-ok[slots]
         self.stats.bump(f"bus.master.{txn.master}")
         state = TenureState(txn.master, txn.op.value, txn.addr, start)
         self._inflight[id(txn)] = state
+        arbiter = self._arbiter_for(txn.addr)
         held = False
         try:
             while True:
-                yield self.arbiter.request(txn.master, priority)
+                yield arbiter.request(txn.master, priority)
                 held = True
                 if validate is not None and not validate():
                     # The premise vanished while we waited for the grant
                     # (e.g. an upgrade whose line a competing RWITM just
                     # snatched): drop the tenure before the address
                     # phase so no snooper ever sees the stale op.
-                    self.arbiter.release(txn.master)
+                    arbiter.release(txn.master)
                     held = False
                     self._record_cancellation(txn)
                     return None
@@ -276,15 +287,13 @@ class AsbBus:  # repro: lint-ok[slots]
                 if retriers:
                     # ARTRY: abort the tenure, back off until drains finish.
                     yield from self._abort_tenure(txn, tenure_start)
-                    self.arbiter.release(txn.master)
+                    arbiter.release(txn.master)
                     held = False
                     yield from self._await_drains(txn, state, retriers)
                     priority = Priority.RETRY
                     continue
-                state.phase = "data"
-                state.since = sim.now
                 data, cycles = self._data_phase(txn, supplier)
-                yield sim.timeout(self.clock.cycles(cycles))
+                yield from self._data_before_commit(state, cycles)
                 result = BusResult(
                     data=data,
                     shared=shared,
@@ -301,10 +310,9 @@ class AsbBus:  # repro: lint-ok[slots]
                         op=txn.op.value, addr=txn.addr, shared=shared,
                         supplied=result.supplied, retries=txn.retries,
                     )
-                tenure = sim.now - tenure_start
-                self.stats.bump("bus.busy_ticks", tenure)
-                self.stats.bump(f"bus.busy.{txn.master}", tenure)
-                self.arbiter.release(txn.master)
+                yield from self._data_after_commit(txn, cycles)
+                self._charge_busy(txn.master, sim.now - tenure_start)
+                arbiter.release(txn.master)
                 held = False
                 self._note_completion(txn)
                 return result
@@ -313,7 +321,26 @@ class AsbBus:  # repro: lint-ok[slots]
             if held:
                 # A fault mid-tenure (snooper exception, data-phase
                 # error) must not wedge the bus for every other master.
-                self.arbiter.release(txn.master)
+                arbiter.release(txn.master)
+
+    # -- what a fabric overrides ------------------------------------------------
+    def _arbiter_for(self, addr: int) -> Arbiter:
+        """The arbitration domain of a tenure on ``addr``: the one bus."""
+        return self.arbiter
+
+    def _data_before_commit(self, state: TenureState, cycles: int):
+        """Data placement before ``commit``: hold the bus for the data phase.
+
+        The tenure runs the result with ``yield from``, so an override
+        that waits for nothing returns ``()``.
+        """
+        state.phase = "data"
+        state.since = self.sim.now
+        yield self.sim.timeout(self.clock.cycles(cycles))
+
+    def _data_after_commit(self, txn: Transaction, cycles: int):
+        """Data placement after ``commit``: nothing left on an atomic tenure."""
+        return ()
 
     # -- internals -------------------------------------------------------------
     def _record_cancellation(self, txn: Transaction) -> None:
@@ -361,9 +388,12 @@ class AsbBus:  # repro: lint-ok[slots]
             self._trace_bus.emit(sim.now, txn.master, "artry", addr=txn.addr)
         if self.retry_penalty_cycles:
             yield sim.timeout(self.clock.cycles(self.retry_penalty_cycles))
-        aborted = sim.now - tenure_start
-        self.stats.bump("bus.busy_ticks", aborted)
-        self.stats.bump(f"bus.busy.{txn.master}", aborted)
+        self._charge_busy(txn.master, sim.now - tenure_start)
+
+    def _charge_busy(self, master: str, ticks: int) -> None:
+        """Charge ``ticks`` of bus occupancy to ``master``."""
+        self.stats.bump("bus.busy_ticks", ticks)
+        self.stats.bump(f"bus.busy.{master}", ticks)
 
     def _await_drains(self, txn: Transaction, state: TenureState, retriers) -> Generator:
         """Back off, bus released, until every retrying snooper has drained."""

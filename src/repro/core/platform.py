@@ -288,7 +288,6 @@ class Platform:
             tracer=self.tracer,
             stats=self.stats,
             max_retries=config.max_bus_retries,
-            line_bytes=config.line_bytes,
         )
 
         self.cores: List[Core] = []

@@ -1,9 +1,12 @@
 """The atomic-tenure snoopy ASB as a fabric (the default).
 
-Pure delegation to :class:`~repro.bus.asb.AsbBus`: every timing and
-ordering decision is inherited unchanged, so a platform built on this
-fabric is byte-identical to the pre-fabric bus — the committed golden
-trace and ``BENCH_hotpath.json`` pin that down.
+:class:`~repro.bus.asb.AsbBus` with the fabric contract's ``build`` and
+``fingerprint`` added: the tenure loop and every timing and ordering
+decision are the bus's own, so a platform built on this fabric is
+byte-identical to the bare bus — the committed golden trace and
+``BENCH_hotpath.json`` pin that down.  The other fabrics derive from
+this class and override only what :meth:`~repro.bus.asb.AsbBus.transact`
+lets them change.
 """
 
 from __future__ import annotations
@@ -36,10 +39,7 @@ class AtomicFabric(AsbBus, IFabric):
         tracer=None,
         stats=None,
         max_retries=1000,
-        line_bytes=32,
     ) -> "AtomicFabric":
-        # line_bytes accepted for contract uniformity; a broadcast bus
-        # has no per-line structures of its own.
         return cls(
             sim,
             clock,
@@ -49,14 +49,6 @@ class AtomicFabric(AsbBus, IFabric):
             stats=stats,
             max_retries=max_retries,
         )
-
-    def snapshot(self) -> dict:
-        return {
-            "fabric": self.name,
-            "completions": self.completions,
-            "arbiter": self.arbiter.snapshot(),
-            "inflight": [t.describe() for t in self.inflight_tenures()],
-        }
 
     @classmethod
     def fingerprint(cls) -> Dict[str, object]:

@@ -17,22 +17,23 @@ phase-priority directory-coherence line of work, arXiv:1305.3038).
   discipline), so transactions to different homes proceed
   concurrently — the scaling win over a single snoopy bus.  Same-line
   transactions always hash to the same bank, preserving the
-  per-address serialisation the coherence checker relies on.  Each
-  bank tenure is atomic (address + directory lookup + data), and the
-  lookup adds ``DIRECTORY_LOOKUP_CYCLES`` to every address phase.
+  per-address serialisation the coherence checker relies on.  The line
+  size is the one ``register_master`` records for the bus presence map.
 
-The protocol tables, wrapper conversions, snoop window, ARTRY/drain
-handover and validate-cancel semantics are all reused unchanged from
-the ASB model; only *how tenures are arbitrated* differs.
-Fabric-specific counters use the ``fabric.dir.`` prefix.
+The tenure is :meth:`~repro.bus.asb.AsbBus.transact`, unchanged but
+for two overrides: its arbitration domain is the line's home bank
+(:meth:`DirectoryFabric._arbiter_for`), and ``address_cycles``
+includes ``DIRECTORY_LOOKUP_CYCLES``.  Each bank tenure is atomic
+(address + directory lookup + data), and the protocol tables, wrapper
+conversions, ARTRY/drain handover and validate-cancel semantics are the
+ASB model's.  Fabric-specific counters use the ``fabric.dir.`` prefix.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Tuple
+from typing import Dict, Tuple
 
-from ..bus.types import BusResult, Priority, Transaction, resolve_window
-from ..bus.asb import TenureState
+from ..bus.types import Transaction
 from .atomic import AtomicFabric
 from .registry import register_fabric
 
@@ -93,7 +94,6 @@ class DirectoryFabric(AtomicFabric):
         *,
         arbiter_factory,
         banks: int = DEFAULT_BANKS,
-        line_bytes: int = 32,
         tracer=None,
         stats=None,
         max_retries=1000,
@@ -107,7 +107,11 @@ class DirectoryFabric(AtomicFabric):
             stats=stats,
             max_retries=max_retries,
         )
-        self.line_bytes = line_bytes
+        # The lookup is part of every address phase.
+        self.address_cycles += self.DIRECTORY_LOOKUP_CYCLES
+        # Homes hash whole lines: until a master registers its cache
+        # geometry (register_master), lines are the presets' 32 bytes.
+        self._line_mask = ~31
         self._banks: Tuple = tuple(arbiter_factory() for _ in range(max(1, banks)))
         #: the watchdog-facing aggregate over the home banks
         self.arbiter = BankedArbiter(self._banks)
@@ -123,14 +127,12 @@ class DirectoryFabric(AtomicFabric):
         tracer=None,
         stats=None,
         max_retries=1000,
-        line_bytes=32,
     ) -> "DirectoryFabric":
         return cls(
             sim,
             clock,
             controller,
             arbiter_factory=arbiter_factory,
-            line_bytes=line_bytes,
             tracer=tracer,
             stats=stats,
             max_retries=max_retries,
@@ -145,106 +147,10 @@ class DirectoryFabric(AtomicFabric):
             "lookup_cycles": cls.DIRECTORY_LOOKUP_CYCLES,
         }
 
-    def snapshot(self) -> dict:
-        return {
-            "fabric": self.name,
-            "completions": self.completions,
-            "tracked_lines": len(self._presence),
-            "arbiter": self.arbiter.snapshot(),
-            "inflight": [t.describe() for t in self.inflight_tenures()],
-        }
-
     # -- home banks ---------------------------------------------------------
-    def _bank_for(self, addr: int):
-        return self._banks[(addr // self.line_bytes) % len(self._banks)]
-
-    # -- the tenure ---------------------------------------------------------
-    def transact(
-        self,
-        txn: Transaction,
-        priority: Priority = Priority.NORMAL,
-        commit=None,
-        validate=None,
-    ) -> Generator:
-        """One tenure on the line's home bank.
-
-        Identical phase structure to the atomic bus, except the
-        arbitration domain is the per-home bank, the address phase pays
-        the directory lookup, and only recorded sharers are snooped.
-        """
-        sim = self.sim
-        start = sim.now
-        self.stats.bump("bus.txns")
-        self.stats.bump(f"bus.op.{txn.op.value}")
-        self.stats.bump(f"bus.master.{txn.master}")
-        state = TenureState(txn.master, txn.op.value, txn.addr, start)
-        self._inflight[id(txn)] = state
-        bank = self._bank_for(txn.addr)
-        held = False
-        try:
-            while True:
-                yield bank.request(txn.master, priority)
-                held = True
-                if validate is not None and not validate():
-                    bank.release(txn.master)
-                    held = False
-                    self._record_cancellation(txn)
-                    return None
-                tenure_start = sim.now
-                state.phase = "address"
-                state.since = tenure_start
-                arb_cycles = 0 if priority is Priority.DRAIN else self.arbitration_cycles
-                yield sim.timeout(
-                    self.clock.edge_then_cycles(
-                        sim.now,
-                        arb_cycles + self.address_cycles + self.DIRECTORY_LOOKUP_CYCLES,
-                    )
-                )
-                trace = self._trace_bus
-                if trace.enabled:
-                    trace.emit(
-                        sim.now, txn.master, "address-phase",
-                        op=txn.op.value, addr=txn.addr, retry_no=txn.retries,
-                    )
-                retriers, shared, supplier = resolve_window(self._snoop_window(txn))
-                if retriers:
-                    yield from self._abort_tenure(txn, tenure_start)
-                    bank.release(txn.master)
-                    held = False
-                    yield from self._await_drains(txn, state, retriers)
-                    priority = Priority.RETRY
-                    continue
-                state.phase = "data"
-                state.since = sim.now
-                data, cycles = self._data_phase(txn, supplier)
-                yield sim.timeout(self.clock.cycles(cycles))
-                result = BusResult(
-                    data=data,
-                    shared=shared,
-                    retries=txn.retries,
-                    start_time=start,
-                    end_time=sim.now,
-                    supplied=supplier is not None,
-                )
-                if commit is not None:
-                    commit(result)
-                if trace.enabled:
-                    trace.emit(
-                        sim.now, txn.master, "complete",
-                        op=txn.op.value, addr=txn.addr, shared=shared,
-                        supplied=result.supplied, retries=txn.retries,
-                    )
-                tenure = sim.now - tenure_start
-                self.stats.bump("bus.busy_ticks", tenure)
-                self.stats.bump(f"bus.busy.{txn.master}", tenure)
-                bank.release(txn.master)
-                held = False
-                self._note_completion(txn)
-                return result
-        finally:
-            del self._inflight[id(txn)]
-            if held:
-                bank.release(txn.master)
+    def _arbiter_for(self, addr: int):
+        """The line's home bank (``-_line_mask`` is the line size)."""
+        return self._banks[(addr // -self._line_mask) % len(self._banks)]
 
     # -- internals ----------------------------------------------------------
     def _snoop_window(self, txn: Transaction):

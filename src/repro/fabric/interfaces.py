@@ -19,6 +19,10 @@ behind that surface (see ``docs/fabrics.md``):
     caches hold each line and forwards snoops point-to-point instead
     of broadcasting, with per-home-bank concurrency.
 
+All three run one tenure loop, :meth:`repro.bus.asb.AsbBus.transact`;
+a fabric overrides only its arbitration domain, its address-phase
+length and the placement of its data occupancy.
+
 This package never imports :mod:`repro.core.platform` (the fabric
 *vocabulary*, ``FABRIC_NAMES``, lives there), and the bus model never
 imports this package — the ``fabric-contract`` lint rule enforces both
@@ -39,10 +43,16 @@ class IFabric(ABC):
     Concrete fabrics additionally provide the bus surface the model
     already speaks (``attach_snooper`` / ``detach_snooper`` /
     ``register_master`` / ``inflight_tenures`` / ``arbiter`` /
-    ``completions``) — in practice by deriving from
-    :class:`~repro.bus.asb.AsbBus`, whose semantics are the reference.
-    The ``fabric-contract`` lint rule validates the full surface of
-    every registered fabric.
+    ``completions``) and ``transact`` itself by deriving from
+    :class:`~repro.bus.asb.AsbBus`; no fabric defines its own
+    ``transact``.  Its semantics hold on every fabric: the snoop window
+    and all coherence state changes happen while the transaction's
+    arbitration domain is held, serialised per address; ``validate`` is
+    consulted at grant time and a False answer cancels the tenure
+    (``None`` returned, no snooper consulted); ARTRY backs the master
+    off until the retrying snoopers' drains complete.  The
+    ``fabric-contract`` lint rule validates the full surface of every
+    registered fabric.
     """
 
     #: registry key; must match the entry in ``platform.FABRIC_NAMES``
@@ -62,7 +72,6 @@ class IFabric(ABC):
         tracer=None,
         stats=None,
         max_retries=1000,
-        line_bytes=32,
     ) -> "IFabric":
         """Construct a fabric instance for one platform.
 
@@ -70,23 +79,6 @@ class IFabric(ABC):
         service discipline per call — fabrics with internal concurrency
         (the directory's home banks) call it more than once.
         """
-
-    @abstractmethod
-    def transact(self, txn, priority=None, commit=None, validate=None):
-        """Run one transaction to completion (a process generator).
-
-        Semantics contract (``AsbBus.transact`` is the reference): the
-        snoop window and all coherence state changes happen while the
-        transaction's arbitration domain is held, serialised per
-        address; ``validate`` is consulted at grant time and a False
-        answer cancels the tenure (``None`` returned, no snooper
-        consulted); ARTRY backs the master off until the retrying
-        snoopers' drains complete.
-        """
-
-    @abstractmethod
-    def snapshot(self) -> dict:
-        """Diagnostic view of the fabric (JSON-serialisable)."""
 
     @classmethod
     @abstractmethod

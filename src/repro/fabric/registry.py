@@ -64,7 +64,6 @@ def make_fabric(
     tracer=None,
     stats=None,
     max_retries=1000,
-    line_bytes=32,
 ) -> IFabric:
     """Build one fabric instance for one platform."""
     return get_fabric(name).build(
@@ -75,7 +74,6 @@ def make_fabric(
         tracer=tracer,
         stats=stats,
         max_retries=max_retries,
-        line_bytes=line_bytes,
     )
 
 

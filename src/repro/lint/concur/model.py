@@ -21,8 +21,9 @@ One :class:`ConcurAnalysis` per lint run (cached on the
   waits-for graph with ceiling/bypass breakers (``wait-cycle``).
 
 Name resolution is by bare method name, merging all same-named defs —
-a deliberate over-approximation (there are three ``transact``
-implementations; a caller may reach any fabric).  Held-sets are
+a deliberate over-approximation (a fabric's tenure hooks, such as the
+split bus's ``_data_after_commit``, merge with the bus's own; a caller
+may reach any fabric).  Held-sets are
 intraprocedural: every in-tree acquire/release pair is function-local
 (or explicitly transferred), which the ``resource-release`` pass
 itself enforces.

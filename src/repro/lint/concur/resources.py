@@ -97,20 +97,10 @@ DEFAULT_RESOURCES: Tuple[ResourceSpec, ...] = (
     ResourceSpec(
         id="bus-tenure",
         kind="arbiter",
-        doc="the address bus, granted by the platform arbiter",
+        doc="a tenure's arbitration domain: the bus or a directory home bank",
         acquire_methods=("request",),
         release_methods=("release",),
         receiver=r"(^|\.)arbiter$",
-        cross_master=True,
-        ceiling_anchors=("_check_retry_ceiling",),
-    ),
-    ResourceSpec(
-        id="bank-tenure",
-        kind="arbiter",
-        doc="one directory home bank's arbitration domain",
-        acquire_methods=("request",),
-        release_methods=("release",),
-        receiver=r"(^|\.)bank$",
         cross_master=True,
         ceiling_anchors=("_check_retry_ceiling",),
     ),

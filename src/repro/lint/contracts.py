@@ -95,9 +95,9 @@ FABRICS = Contract(
     interface="IFabric",
     # the IFabric surface plus the bus surface the model already speaks
     # (provided by deriving from AsbBus)
-    surface=("name", "version", "build", "transact", "snapshot",
-             "fingerprint", "attach_snooper", "detach_snooper",
-             "register_master", "inflight_tenures"),
+    surface=("name", "version", "build", "transact", "fingerprint",
+             "attach_snooper", "detach_snooper", "register_master",
+             "inflight_tenures"),
     consumers=("fabric/", "core/platform", "exp/", "lint/", "__main__"),
     fingerprint_use="bench baselines",
     direction="fabrics wrap the bus model, never the reverse",

@@ -3,29 +3,47 @@
 import pytest
 
 from repro.bus import (
-    AsbBus,
     BusOp,
+    FixedPriorityArbiter,
     Priority,
     SnoopAction,
     SnoopReply,
     Snooper,
     Transaction,
 )
+from repro.core.platform import FABRIC_NAMES
 from repro.errors import BusError, LivelockError
+from repro.fabric import make_fabric
 from repro.mem import MainMemory, MemoryController, MemoryMap, Region
 from repro.sim import Clock, Simulator
 
+#: the fabrics beside the atomic bus; the liveness and cancellation
+#: tests rerun on each of them (see the classes at the end)
+OTHER_FABRICS = tuple(name for name in FABRIC_NAMES if name != "atomic")
 
-def make_bus(snoopers=(), **bus_kwargs):
+
+def make_bus(snoopers=(), fabric="atomic", **bus_kwargs):
     sim = Simulator()
     memory = MainMemory()
     memory_map = MemoryMap([Region("ram", 0, 1 << 20)])
-    bus = AsbBus(
-        sim, Clock.from_mhz(50), MemoryController(memory, memory_map), **bus_kwargs
+    bus = make_fabric(
+        fabric,
+        sim,
+        Clock.from_mhz(50),
+        MemoryController(memory, memory_map),
+        arbiter_factory=lambda: FixedPriorityArbiter(sim),
+        **bus_kwargs,
     )
     for snooper in snoopers:
         bus.attach_snooper(snooper)
     return sim, memory, bus
+
+
+@pytest.fixture
+def fabric():
+    """The fabric under test: the atomic bus unless a class reruns the
+    tests on :data:`OTHER_FABRICS`."""
+    return "atomic"
 
 
 def run_txn(sim, bus, txn, priority=Priority.NORMAL, commit=None):
@@ -204,8 +222,8 @@ class StormSnooper(Snooper):
 
 
 class TestLiveness:
-    def test_retry_ceiling_raises_livelock_error(self):
-        sim, _memory, bus = make_bus(max_retries=5)
+    def test_retry_ceiling_raises_livelock_error(self, fabric):
+        sim, _memory, bus = make_bus(fabric=fabric, max_retries=5)
         bus.attach_snooper(StormSnooper(sim))
         proc = sim.process(bus.transact(Transaction(BusOp.READ, 0x40, "m")))
         with pytest.raises(LivelockError) as exc_info:
@@ -216,20 +234,20 @@ class TestLiveness:
         assert error.retries == 6
         assert "0x00000040" in str(error)
 
-    def test_ceiling_none_disables_monitor(self):
-        sim, _memory, bus = make_bus(max_retries=None)
+    def test_ceiling_none_disables_monitor(self, fabric):
+        sim, _memory, bus = make_bus(fabric=fabric, max_retries=None)
         bus.attach_snooper(StormSnooper(sim))
         sim.process(bus.transact(Transaction(BusOp.READ, 0x40, "m")))
         # Bounded run: the spin continues without an error.
         with pytest.raises(Exception, match="max_events"):
             sim.run(max_events=5000)
 
-    def test_default_ceiling_leaves_normal_retries_alone(self):
-        sim, _memory, bus = make_bus()
+    def test_default_ceiling_leaves_normal_retries_alone(self, fabric):
+        sim, _memory, bus = make_bus(fabric=fabric)
         assert bus.max_retries == 1000
 
-    def test_inflight_tenures_visible_while_backed_off(self):
-        sim, _memory, bus = make_bus()
+    def test_inflight_tenures_visible_while_backed_off(self, fabric):
+        sim, _memory, bus = make_bus(fabric=fabric)
 
         class NeverDrains(Snooper):
             master_name = "owner"
@@ -247,8 +265,8 @@ class TestLiveness:
         assert state.retries == 1
         assert "waiting-on=owner" in state.describe()
 
-    def test_bus_released_when_tenure_raises(self):
-        sim, _memory, bus = make_bus()
+    def test_bus_released_when_tenure_raises(self, fabric):
+        sim, _memory, bus = make_bus(fabric=fabric)
 
         def bad_commit(_result):
             raise RuntimeError("commit exploded")
@@ -259,14 +277,14 @@ class TestLiveness:
         proc.add_callback(lambda _e: None)  # swallow the failure
         sim.run()
         # The arbiter must not be left held by the dead tenure...
-        assert bus.arbiter.holder is None
+        assert bus._arbiter_for(0x0).holder is None
         assert bus.inflight_tenures() == []
         # ...so another master can still transact.
         result = run_txn(sim, bus, Transaction(BusOp.READ, 0x20, "n"))
         assert result is not None
 
-    def test_completions_count_tenures(self):
-        sim, _memory, bus = make_bus()
+    def test_completions_count_tenures(self, fabric):
+        sim, _memory, bus = make_bus(fabric=fabric)
         run_txn(sim, bus, Transaction(BusOp.READ, 0x0, "m"))
         run_txn(sim, bus, Transaction(BusOp.WRITE, 0x0, "m", data=1))
         assert bus.completions == 2
@@ -290,8 +308,8 @@ class TestStats:
 class TestCancellationAccounting:
     """Grant-time validate-cancels are not ARTRYs and count separately."""
 
-    def test_cancel_counts_separately_from_artry(self):
-        sim, _memory, bus = make_bus()
+    def test_cancel_counts_separately_from_artry(self, fabric):
+        sim, _memory, bus = make_bus(fabric=fabric)
         proc = sim.process(
             bus.transact(
                 Transaction(BusOp.READ, 0x0, "m"), validate=lambda: False
@@ -303,12 +321,12 @@ class TestCancellationAccounting:
         assert bus.stats.get("bus.retries") == 0
         assert bus.completions == 0
 
-    def test_cancellation_storm_raises_its_own_livelock(self):
+    def test_cancellation_storm_raises_its_own_livelock(self, fabric):
         # A master whose tenure premise keeps vanishing at grant time
         # makes no progress, but txn.retries never moves (no ARTRY is
         # involved) — the old ceiling was blind to it.  The message
         # must name the actual failure, not a retry loop.
-        sim, _memory, bus = make_bus(max_retries=5)
+        sim, _memory, bus = make_bus(fabric=fabric, max_retries=5)
 
         def driver():
             while True:
@@ -329,8 +347,8 @@ class TestCancellationAccounting:
         assert "ARTRY count: 0" in message
         assert "not an ARTRY retry loop" in message
 
-    def test_completion_resets_the_cancel_streak(self):
-        sim, _memory, bus = make_bus(max_retries=5)
+    def test_completion_resets_the_cancel_streak(self, fabric):
+        sim, _memory, bus = make_bus(fabric=fabric, max_retries=5)
 
         def driver():
             for _ in range(4):
@@ -348,11 +366,11 @@ class TestCancellationAccounting:
         assert bus.stats.get("bus.cancelled") == 8
         assert bus.completions == 1
 
-    def test_artry_ceiling_message_reports_cancel_count(self):
+    def test_artry_ceiling_message_reports_cancel_count(self, fabric):
         # The converse disagreement-proofing: an ARTRY livelock report
         # states how many grant-time cancels the master had, so the two
         # counters can never be conflated when reading a failure.
-        sim, _memory, bus = make_bus(max_retries=2)
+        sim, _memory, bus = make_bus(fabric=fabric, max_retries=2)
         bus.attach_snooper(StormSnooper(sim))
         sim.process(bus.transact(Transaction(BusOp.READ, 0x40, "m")))
         with pytest.raises(LivelockError) as exc_info:
@@ -390,3 +408,13 @@ class TestDetachDuringSnoopWindow:
         # The next tenure really does skip the detached snooper.
         run_txn(sim, bus, Transaction(BusOp.READ, 0x200, "m"))
         assert second.seen == [(BusOp.READ, 0x100)]
+
+
+@pytest.mark.parametrize("fabric", OTHER_FABRICS)
+class TestLivenessOnOtherFabrics(TestLiveness):
+    """:class:`TestLiveness` on the split and directory fabrics."""
+
+
+@pytest.mark.parametrize("fabric", OTHER_FABRICS)
+class TestCancellationAccountingOnOtherFabrics(TestCancellationAccounting):
+    """:class:`TestCancellationAccounting` on the split and directory fabrics."""

@@ -1,4 +1,4 @@
-"""The fabric contract: registry, snapshots, fingerprints."""
+"""The fabric contract: registry, the one tenure loop, fingerprints."""
 
 import pytest
 
@@ -47,6 +47,13 @@ class TestRegistry:
         for name in fabric_names():
             assert issubclass(get_fabric(name), IFabric)
 
+    def test_no_fabric_defines_its_own_transact(self):
+        # One tenure loop: every fabric inherits AsbBus.transact.
+        for name in fabric_names():
+            for cls in get_fabric(name).__mro__:
+                if cls is not AsbBus:
+                    assert "transact" not in vars(cls), (name, cls.__name__)
+
 
 class TestFingerprints:
     def test_fingerprints_name_themselves(self):
@@ -84,14 +91,6 @@ class TestPlatformWiring:
                 platform.memory_controller,
                 arbiter_factory=lambda: None,
             )
-
-    @pytest.mark.parametrize("name", FABRIC_NAMES)
-    def test_snapshot_has_the_common_surface(self, name):
-        platform = Platform(_two_core_config(fabric=name))
-        snapshot = platform.bus.snapshot()
-        assert snapshot["fabric"] == name
-        assert snapshot["completions"] == 0
-        assert "arbiter" in snapshot and "inflight" in snapshot
 
     @pytest.mark.parametrize("name", FABRIC_NAMES)
     def test_arbitration_disciplines_compose_with_every_fabric(self, name):

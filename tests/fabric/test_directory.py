@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.bus import FixedPriorityArbiter
 from repro.core.platform import Platform, PlatformConfig
 from repro.cpu.presets import preset_generic
-from repro.fabric import BankedArbiter, DirectoryFabric
+from repro.fabric import BankedArbiter, DirectoryFabric, make_fabric
+from repro.mem import MainMemory, MemoryController, MemoryMap, Region
+from repro.sim import Clock, Simulator
 from repro.verify.checker import CoherenceChecker
 from repro.workloads.tracegen import false_sharing_traces, replay_parallel
 
@@ -68,13 +71,41 @@ class TestBanks:
         bus = platform.bus
         base = 0x2000
         for offset in (0, 4, 8, 28):
-            assert bus._bank_for(base + offset) is bus._bank_for(base)
+            assert bus._arbiter_for(base + offset) is bus._arbiter_for(base)
 
     def test_different_homes_use_different_banks(self):
         platform = _platform(n=2)
         bus = platform.bus
-        banks = {id(bus._bank_for(0x20000 + i * 32)) for i in range(8)}
+        banks = {id(bus._arbiter_for(0x20000 + i * 32)) for i in range(8)}
         assert len(banks) == DirectoryFabric.DEFAULT_BANKS
+
+    def test_an_unregistered_directory_hashes_lines_to_one_bank(self):
+        sim = Simulator()
+        bus = make_fabric(
+            "directory",
+            sim,
+            Clock.from_mhz(50),
+            MemoryController(MainMemory(), MemoryMap([Region("ram", 0, 1 << 20)])),
+            arbiter_factory=lambda: FixedPriorityArbiter(sim),
+        )
+        for offset in (0, 4, 8, 28):
+            assert bus._arbiter_for(0x2000 + offset) is bus._arbiter_for(0x2000)
+        assert bus._arbiter_for(0x2000) is not bus._arbiter_for(0x2020)
+
+    def test_homes_hash_the_registered_line_size(self):
+        # 16-byte lines: the next line has its own home, and the bank
+        # choice is (addr // line_bytes) % banks as on every platform.
+        cores = tuple(
+            preset_generic(f"p{i}", "MESI").with_(cache_line_bytes=16)
+            for i in range(2)
+        )
+        platform = Platform(
+            PlatformConfig(cores=cores, hardware_coherence=True, fabric="directory")
+        )
+        bus = platform.bus
+        banks = bus.arbiter.banks
+        for addr in (0x2000, 0x2010, 0x2018, 0x20070):
+            assert bus._arbiter_for(addr) is banks[(addr // 16) % len(banks)]
 
     @pytest.mark.parametrize("discipline", ("fcfs", "priority", "round-robin"))
     def test_every_discipline_builds_the_banks(self, discipline):

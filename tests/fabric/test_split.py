@@ -32,9 +32,9 @@ class TestPipelining:
         proc = sim.process(bus.transact(Transaction(BusOp.READ_LINE, 0x0, "m")))
         sim.run(until=2 * 20 + 1, detect_deadlock=False)
         assert proc.triggered  # master resumed before the data phase
-        assert bus.snapshot()["outstanding_data_tenures"] == 1
+        assert bus._outstanding == 1
         sim.run(detect_deadlock=False)
-        assert bus.snapshot()["outstanding_data_tenures"] == 0
+        assert bus._outstanding == 0
 
     def test_back_to_back_tenures_overlap(self):
         # N line reads on the atomic bus cost N full tenures; on the
@@ -81,7 +81,7 @@ class TestInflightWindow:
 
         def master(name, addr):
             yield from bus.transact(Transaction(BusOp.READ_LINE, addr, name))
-            peak.append(bus.snapshot()["outstanding_data_tenures"])
+            peak.append(bus._outstanding)
 
         for i in range(4):
             sim.process(master(f"m{i}", 0x100 * i))

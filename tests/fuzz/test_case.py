@@ -187,3 +187,43 @@ class TestRunCase:
         first = run_case(VIOLATING)
         second = run_case(FuzzCase.from_dict(VIOLATING.to_dict()))
         assert first.to_dict() == second.to_dict()
+
+
+# Seed-0 campaign case 5139, shrunk to six accesses: P0's dirty victim
+# write-back loses the line to P1's RWITM while it waits for the bus,
+# is ARTRY'd while P1 drains its store, and then overwrites that store
+# in memory (ROADMAP item 1 has the full cause).
+STALE_WRITE_BACK = FuzzCase(
+    seed=5139,
+    protocols=("MOESI", "MOESI"),
+    cache_sizes=(256, 256),
+    cache_ways=(1, 1),
+    workload={
+        "kind": "explicit",
+        "traces": {
+            "0": [
+                ["write", 0x20000034, 1],
+                ["read", 0x20000048, 0],
+                ["read", 0x20000234, 0],
+                ["read", 0x2000003C, 0],
+            ],
+            "1": [
+                ["read", 0x20000008, 0],
+                ["write", 0x2000003C, 5],
+            ],
+        },
+    },
+)
+
+
+class TestKnownDefects:
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "ROADMAP item 1: CacheController._evict issues the dirty "
+            "victim's WRITE_LINE without a grant-time validate, so a "
+            "stale write-back overwrites the new owner's drained store"
+        ),
+    )
+    def test_case_5139_stale_write_back_is_clean(self):
+        assert run_case(STALE_WRITE_BACK).outcome == "clean"
