@@ -10,15 +10,12 @@ access drops from ~30 fired kernel events to a handful of dict
 operations, which is where the order-of-magnitude speedup comes from
 (see ``docs/engines.md`` for the full argument and its limits).
 
-Ingestion is vectorised over numpy when it is importable: address
-decomposition (set index / tag / word offset / line base) and region
-classification (cacheable / write-through) for the whole trace are
-computed as whole-array operations before the sequential replay loop
-runs over plain machine integers.  The replay loop itself is
-inherently sequential — every access's outcome depends on the cache
-and coherence state left by the previous one — so it cannot be a
-vector operation; without numpy a scalar ingestion fallback keeps the
-engine available everywhere.
+The replay is one pass over the trace.  Each access is decomposed
+(set index and tag) where it is replayed, and a hit resolves with no
+further work.  Only a miss, a swap or a disabled cache looks up the
+address's region (mapped, cacheable, write-through).  The loop is
+inherently sequential: every access's outcome depends on the cache
+and coherence state left by the previous one.
 
 Faithfulness contract (enforced by ``tests/engines/test_equivalence.py``):
 on any serialised trace, every counter except the timing-only
@@ -46,14 +43,7 @@ from ..mem.map import WritePolicy
 from .interfaces import EngineRunResult, ISimEngine
 from .registry import register_engine
 
-try:  # numpy accelerates ingestion; the model itself is pure Python
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
-
-__all__ = ["BatchEngine", "HAS_NUMPY"]
-
-HAS_NUMPY = _np is not None
+__all__ = ["BatchEngine"]
 
 _WORD_MASK = 0xFFFF_FFFF
 _DIRTY = (State.MODIFIED, State.OWNED)
@@ -83,8 +73,8 @@ class _Master:
     __slots__ = (
         "name", "enabled", "protocol", "protocol_wt", "steps",
         "offset_bits", "tag_shift",
-        "set_mask", "line_mask", "line_bytes", "line_words", "ways",
-        "n_sets", "sets", "index", "clock",
+        "set_mask", "line_mask", "offset_mask", "line_words", "ways",
+        "sets", "index", "clock",
         "key_hits", "key_read_misses", "key_write_misses", "key_fills",
         "key_bus_master",
     )
@@ -107,10 +97,9 @@ class _Master:
         self.tag_shift = geom._offset_bits + geom._index_bits
         self.set_mask = geom.n_sets - 1
         self.line_mask = ~(geom.line_bytes - 1)
-        self.line_bytes = geom.line_bytes
+        self.offset_mask = geom.line_bytes - 1
         self.line_words = geom.line_words
         self.ways = geom.ways
-        self.n_sets = geom.n_sets
         self.sets: List[List[Optional[_Line]]] = [
             [None] * geom.ways for _ in range(geom.n_sets)
         ]
@@ -134,6 +123,25 @@ class _Master:
         return entry[1], set_i, tag
 
 
+def _line_aligned_regions(config: PlatformConfig) -> list:
+    """``config``'s memory-map regions sorted by base, all line-aligned.
+
+    The replay loop skips the region lookup on a hit, which is sound
+    only if no cache line straddles a region boundary, so a region
+    that would let one do so is refused.
+    """
+    line_bytes = config.line_bytes
+    regions = sorted(build_memory_map(config), key=lambda r: r.base)
+    for region in regions:
+        if region.base % line_bytes or region.end % line_bytes:
+            raise ConfigError(
+                f"region {region.name!r} [0x{region.base:08x}, "
+                f"0x{region.end:08x}) is not aligned to the "
+                f"{line_bytes}-byte cache line"
+            )
+    return regions
+
+
 class _BatchModel:
     """One run's worth of functional-replay state."""
 
@@ -151,8 +159,13 @@ class _BatchModel:
                 "non-coherent cores need the snoop-logic/interrupt "
                 "machinery of the event kernel"
             )
-        self.config = config
-        self.map = build_memory_map(config)
+        regions = _line_aligned_regions(config)
+        self.region_bases = [r.base for r in regions]
+        self.region_ends = [r.end for r in regions]
+        self.region_cacheable = [r.cacheable for r in regions]
+        self.region_write_through = [
+            r.write_policy is WritePolicy.WRITE_THROUGH for r in regions
+        ]
         self.snooping = config.hardware_coherence
         if self.snooping:
             policies = reduce_protocols(
@@ -226,7 +239,7 @@ class _BatchModel:
                         op, line.state, snooper.name
                     )
                     if out.apply_update:
-                        line.data[(addr & (snooper.line_bytes - 1)) >> 2] = data
+                        line.data[(addr & snooper.offset_mask) >> 2] = data
                     window.append(((snooper, line), out))
                     if out.action is not _RETRY:
                         # ARTRY defers a drainer's commit to its push.
@@ -417,84 +430,6 @@ class _BatchModel:
         return occupancy
 
 
-def _ingest(model: _BatchModel, accesses: Sequence):
-    """Decompose the whole trace into per-access machine integers.
-
-    Returns parallel lists ``(procs, ops, addrs, values, set_is, tags,
-    offsets, cacheables, wts)`` — ``ops`` coded 0=read / 1=write /
-    2=swap.  Vectorised over numpy when available; the scalar fallback
-    computes the identical lists.
-    """
-    n = len(accesses)
-    procs = [a.proc for a in accesses]
-    op_names = [a.op for a in accesses]
-    addrs = [a.addr for a in accesses]
-    values = [a.value for a in accesses]
-    op_code = {"read": 0, "write": 1, "swap": 2}
-    ops = [op_code[name] for name in op_names]
-    n_masters = len(model.masters)
-    if any(p < 0 or p >= n_masters for p in procs):
-        raise ConfigError("trace references a processor the config lacks")
-
-    regions = sorted(model.map, key=lambda r: r.base)
-    bases = [r.base for r in regions]
-    ends = [r.end for r in regions]
-    cacheable_by_region = [r.cacheable for r in regions]
-    wt_by_region = [
-        r.write_policy is WritePolicy.WRITE_THROUGH for r in regions
-    ]
-
-    if _np is not None and n:
-        a = _np.asarray(addrs, dtype=_np.int64)
-        p = _np.asarray(procs, dtype=_np.int64)
-        region_i = _np.searchsorted(_np.asarray(bases, dtype=_np.int64), a, side="right") - 1
-        in_range = (region_i >= 0) & (
-            a < _np.asarray(ends, dtype=_np.int64)[_np.clip(region_i, 0, None)]
-        )
-        if not bool(in_range.all()):
-            bad = int(a[~in_range][0])
-            raise ConfigError(f"trace access at unmapped address 0x{bad:08x}")
-        region_cacheable = _np.asarray(cacheable_by_region, dtype=bool)[region_i]
-        wts = _np.asarray(wt_by_region, dtype=bool)[region_i].tolist()
-        set_is = _np.zeros(n, dtype=_np.int64)
-        tags = _np.zeros(n, dtype=_np.int64)
-        offsets = _np.zeros(n, dtype=_np.int64)
-        cach = _np.zeros(n, dtype=bool)
-        for index, m in enumerate(model.masters):
-            mask = p == index
-            if not bool(mask.any()):
-                continue
-            am = a[mask]
-            set_is[mask] = (am >> m.offset_bits) & m.set_mask
-            tags[mask] = am >> m.tag_shift
-            offsets[mask] = (am & (m.line_bytes - 1)) >> 2
-            cach[mask] = region_cacheable[mask] if m.enabled else False
-        return (
-            procs, ops, addrs, values,
-            set_is.tolist(), tags.tolist(), offsets.tolist(),
-            cach.tolist(), wts,
-        )
-
-    # Scalar fallback: identical decomposition without numpy.
-    set_is = [0] * n
-    tags = [0] * n
-    offsets = [0] * n
-    cach = [False] * n
-    wts = [False] * n
-    for i in range(n):
-        addr = addrs[i]
-        r = bisect.bisect_right(bases, addr) - 1
-        if r < 0 or addr >= ends[r]:
-            raise ConfigError(f"trace access at unmapped address 0x{addr:08x}")
-        m = model.masters[procs[i]]
-        set_is[i] = (addr >> m.offset_bits) & m.set_mask
-        tags[i] = addr >> m.tag_shift
-        offsets[i] = (addr & (m.line_bytes - 1)) >> 2
-        cach[i] = m.enabled and cacheable_by_region[r]
-        wts[i] = wt_by_region[r]
-    return procs, ops, addrs, values, set_is, tags, offsets, cach, wts
-
-
 @register_engine
 class BatchEngine(ISimEngine):
     """Statistics-only functional replay (no event kernel)."""
@@ -506,10 +441,14 @@ class BatchEngine(ISimEngine):
         self, config: PlatformConfig, accesses: Sequence
     ) -> EngineRunResult:
         model = _BatchModel(config)
-        procs, ops, addrs, vals, set_is, tags, offsets, cach, wts = _ingest(
-            model, accesses
-        )
         masters = model.masters
+        # A dict, not the list: masters[-1] would accept proc == -1.
+        by_proc = dict(enumerate(masters))
+        bases = model.region_bases
+        ends = model.region_ends
+        cacheables = model.region_cacheable
+        wts = model.region_write_through
+        bisect_right = bisect.bisect_right
         # Everything the hit fast path touches, bound to locals: the
         # common case (a read or silent-write hit) resolves in a couple
         # of dict probes with no method calls at all.
@@ -528,19 +467,28 @@ class BatchEngine(ISimEngine):
         # Wall time is the engine's reported metric; the batch engine
         # models no simulated time at all (elapsed_ns stays 0).
         start = time.perf_counter()  # repro: lint-ok[determinism]
-        for p, op, addr, val, set_i, tag, offset, ca, wt in zip(
-            procs, ops, addrs, vals, set_is, tags, offsets, cach, wts
-        ):
-            m = masters[p]
-            if ca and op != 2:
+        for access in accesses:
+            p = access.proc
+            m = by_proc.get(p)
+            if m is None:
+                raise ConfigError("trace references a processor the config lacks")
+            op = access.op
+            addr = access.addr
+            if m.enabled and op != "swap":
+                set_i = (addr >> m.offset_bits) & m.set_mask
+                tag = addr >> m.tag_shift
                 entry = m.index[set_i].get(tag)
                 if entry is not None:
+                    # A resident line was filled through the cacheable
+                    # path and regions are line-aligned, so a hit needs
+                    # no region lookup.
                     line = entry[1]
                     clock = m.clock + 1
                     m.clock = clock
                     line.lru = clock
                     hit_counts[p] += 1
-                    if op == 0:
+                    offset = (addr & m.offset_mask) >> 2
+                    if op == "read":
                         append(line.data[offset])
                         continue
                     outcome = wh_tables[id(line.protocol)].get(line.state)
@@ -549,24 +497,30 @@ class BatchEngine(ISimEngine):
                     new_state, action = outcome
                     if action is silent:
                         line.state = new_state
-                        line.data[offset] = val
+                        line.data[offset] = access.value
                     else:
-                        write_hit_action(m, addr, line, offset, val,
+                        write_hit_action(m, addr, line, offset, access.value,
                                          new_state, action)
                     append(None)
                     continue
-                if op == 0:
-                    append(read_miss(m, addr, set_i, tag, offset, wt))
+            # A miss, a swap or a disabled cache: classify the region.
+            r = bisect_right(bases, addr) - 1
+            if r < 0 or addr >= ends[r]:
+                raise ConfigError(f"trace access at unmapped address 0x{addr:08x}")
+            cacheable = m.enabled and cacheables[r]
+            if op == "swap":
+                append(swap(m, addr, access.value, cacheable))
+            elif cacheable:
+                offset = (addr & m.offset_mask) >> 2
+                if op == "read":
+                    append(read_miss(m, addr, set_i, tag, offset, wts[r]))
                 else:
-                    write_miss(m, addr, set_i, tag, offset, val, wt)
+                    write_miss(m, addr, set_i, tag, offset, access.value, wts[r])
                     append(None)
-                continue
-            if op == 2:
-                append(swap(m, addr, val, ca))
-            elif op == 0:
+            elif op == "read":
                 append(uncached_read(m, addr))
             else:
-                uncached_write(m, addr, val)
+                uncached_write(m, addr, access.value)
                 append(None)
         wall = time.perf_counter() - start  # repro: lint-ok[determinism]
         for m, hits in zip(masters, hit_counts):

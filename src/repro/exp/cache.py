@@ -14,11 +14,11 @@ key is the SHA-256 of the canonical JSON encoding of::
 Including the package version means any release invalidates every
 cached result wholesale — the simulator's timing model may have
 changed, and a stale hit would silently corrupt regenerated figures.
-The engine fingerprint keeps results from different execution engines
-apart: the batch engine reproduces the exact engine's counters but
-carries no timing, so a batch result served to a latency figure would
-poison it silently — with the engine in the key such a hit is
-structurally impossible (``tests/exp/test_cache.py`` keeps it that
+The engine fragment is the fingerprint of the exact engine, which
+runs every cached job: bumping its version invalidates its results,
+and an entry keyed under any other engine (the timing-free batch
+engine, whose result would silently poison a latency figure) can never
+be served in its place (``tests/exp/test_cache.py`` keeps it that
 way).  Changing any field of the job spec changes the payload and
 therefore the key, so distinct configurations can never collide.
 
@@ -88,18 +88,18 @@ def canonical_payload(payload: Dict[str, Any]) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def content_key(
-    payload: Dict[str, Any],
-    version: Optional[str] = None,
-    engine: Optional[str] = None,
-) -> str:
-    """SHA-256 cache key of a job payload under ``version`` + ``engine``."""
-    if version is None:
-        version = _package_version()
+def _key(version: str, engine: Dict[str, Any], payload: Dict[str, Any]) -> str:
     blob = canonical_payload(
-        {"version": version, "engine": engine_tag(engine), "job": payload}
+        {"version": version, "engine": engine, "job": payload}
     )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def content_key(payload: Dict[str, Any], version: Optional[str] = None) -> str:
+    """SHA-256 cache key of a job payload under ``version``."""
+    if version is None:
+        version = _package_version()
+    return _key(version, engine_tag(), payload)
 
 
 #: number of hex digits of the key that name an entry's shard directory
@@ -109,16 +109,11 @@ SHARD_PREFIX_LEN = 2
 class ResultCache:
     """A sharded directory of content-addressed JSON result files."""
 
-    def __init__(
-        self,
-        root: str,
-        version: Optional[str] = None,
-        engine: Optional[str] = None,
-    ):
+    def __init__(self, root: str, version: Optional[str] = None):
         self.root = root
         self.version = version if version is not None else _package_version()
         #: the engine this cache's keys are scoped to
-        self.engine = engine_tag(engine)
+        self.engine = engine_tag()
         #: entries moved to <root>/corrupt/ by this instance
         self.quarantined = 0
         #: legacy flat entries relocated into shards by this instance
@@ -132,10 +127,7 @@ class ResultCache:
 
     def key_for(self, payload: Dict[str, Any]) -> str:
         """The cache key of ``payload`` under this cache's version+engine."""
-        blob = canonical_payload(
-            {"version": self.version, "engine": self.engine, "job": payload}
-        )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return _key(self.version, self.engine, payload)
 
     def path_for(self, key: str) -> str:
         """Filesystem path of the (sharded) entry for ``key``.

@@ -1,21 +1,27 @@
-"""Batch-engine edges: rejections, ingestion fallback, value semantics.
+"""Batch-engine edges: rejections, the one-pass replay loop, values.
 
-The batch engine refuses configurations it cannot replay faithfully
-(fault injection, non-coherent masters) instead of producing silently
-wrong statistics, and its numpy-vectorised ingestion must decompose
-traces identically to the scalar fallback.
+The batch engine refuses configurations and traces it cannot replay
+faithfully (fault injection, non-coherent masters, unknown processors,
+unmapped addresses, regions a cache line could straddle) instead of
+producing silently wrong statistics.  Its replay loop decomposes each
+access where it replays it and looks up the address's region only off
+the hit path, so the edges of that split are pinned here.
 """
 
 import pytest
 
 from repro.core import LOCK_BASE, SHARED_BASE
-from repro.core.platform import PlatformConfig
-from repro.cpu.presets import preset_arm920t, preset_generic
-from repro.engines import get_engine, serialize_workload
-from repro.engines.batch import HAS_NUMPY
-from repro.errors import ConfigError
+from repro.core.platform import PRIVATE_BASE, PlatformConfig, build_memory_map
+from repro.cpu import presets
+from repro.cpu.presets import preset_arm920t, preset_generic, preset_intel486
+from repro.engines import get_engine
+from repro.engines.batch import _line_aligned_regions
+from repro.errors import ConfigError, ProtocolError
+from repro.mem.map import MemoryMap, Region
 from repro.faults import FaultSpec
 from repro.workloads.tracegen import TraceAccess
+
+from .test_equivalence import assert_same_replay
 
 
 def _two_mesi(**overrides):
@@ -76,18 +82,116 @@ class TestValueSemantics:
         assert result.values == []
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
-class TestIngestionFallback:
-    def test_scalar_fallback_matches_numpy(self, monkeypatch):
+class TestFusedLoop:
+    @pytest.mark.parametrize("proc", [-1, 2])
+    def test_processor_outside_the_config_is_refused(self, proc):
+        # -1 would index the last master of a list; 2 is one past it.
+        access = TraceAccess(proc, "read", SHARED_BASE, None)
+        with pytest.raises(ConfigError, match="processor"):
+            get_engine("batch").run(_two_mesi(), [access])
+
+    def test_unmapped_address_after_valid_accesses_is_refused(self):
+        accesses = [
+            TraceAccess(0, "write", SHARED_BASE, 1),
+            TraceAccess(1, "read", SHARED_BASE, None),
+            TraceAccess(0, "read", SHARED_BASE, None),     # a hit
+            TraceAccess(1, "read", 0x7000_0000, None),     # no region
+        ]
+        with pytest.raises(ConfigError, match="unmapped address 0x70000000"):
+            get_engine("batch").run(_two_mesi(), accesses)
+
+    def test_write_through_shared_region_matches_exact(self):
+        # The i486's SI lines: a write-through line is filled, then hit
+        # (the write hit goes out on the bus, the read hit stays local);
+        # a write miss goes straight out without allocating.
+        config = PlatformConfig(
+            cores=(preset_intel486("p0"), preset_intel486("p1")),
+            hardware_coherence=True,
+            shared_write_through=True,
+        )
+        word = SHARED_BASE + 0x20
+        accesses = [
+            TraceAccess(0, "read", word, None),       # read miss, fill
+            TraceAccess(0, "write", word, 7),         # write hit
+            TraceAccess(0, "read", word, None),       # read hit
+            TraceAccess(1, "write", word + 4, 9),     # write miss
+            TraceAccess(1, "read", word + 4, None),
+            TraceAccess(0, "read", word + 4, None),
+        ]
+        result = assert_same_replay(config, accesses)
+        assert result.values == [0, None, 7, None, 9, 9]
+        assert result.stats["p0.hits"] == 2
+        assert result.stats["p0.write_throughs"] == 1
+        assert result.stats["p1.write_misses"] == 1
+        assert result.stats["p1.write_throughs"] == 1
+
+    def test_disabled_cache_takes_the_uncached_path(self):
+        config = PlatformConfig(
+            cores=(
+                preset_generic("p0", "MESI").with_(cache_enabled=False),
+                preset_generic("p1", "MESI"),
+            ),
+            hardware_coherence=True,
+        )
+        word = SHARED_BASE + 0x40
+        accesses = [
+            TraceAccess(0, "write", word, 5),
+            TraceAccess(0, "read", word, None),
+            TraceAccess(1, "read", word, None),
+            TraceAccess(0, "read", PRIVATE_BASE, None),
+        ]
+        result = assert_same_replay(config, accesses)
+        assert result.values == [None, 5, 5, 0]
+        assert result.stats["p0.uncached_writes"] == 1
+        assert result.stats["p0.uncached_reads"] == 2
+        assert "p0.hits" not in result.stats
+        assert result.line_states["p0"] == {}
+
+    def test_swap_on_a_cacheable_address_is_refused(self):
+        accesses = [
+            TraceAccess(0, "read", SHARED_BASE, None),   # resident line
+            TraceAccess(0, "swap", SHARED_BASE, 1),
+        ]
+        with pytest.raises(ProtocolError, match="swap at 0x20000000"):
+            get_engine("batch").run(_two_mesi(), accesses)
+
+
+#: every preset in repro.cpu.presets, by its factory's name
+PRESETS = {
+    name: (preset_generic("p0", "MESI") if name == "preset_generic"
+           else getattr(presets, name)("p0"))
+    for name in presets.__all__ if name.startswith("preset_")
+}
+
+
+class TestRegionAlignment:
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_standard_map_is_line_aligned_for_every_preset(self, preset):
+        config = PlatformConfig(cores=(PRESETS[preset],))
+        assert len(_line_aligned_regions(config)) == len(
+            list(build_memory_map(config))
+        )
+
+    def test_largest_generic_line_is_aligned(self):
+        # 16 KiB, 4 ways: a 4 KiB line is the largest the geometry holds.
+        core = preset_generic("p0", "MESI").with_(cache_line_bytes=4096)
+        config = PlatformConfig(cores=(core,), hardware_coherence=True)
+        assert _line_aligned_regions(config)
+        result = get_engine("batch").run(
+            config, [TraceAccess(0, "read", SHARED_BASE + 0xFFC, None)]
+        )
+        assert result.values == [0]
+        with pytest.raises(ConfigError):
+            core.with_(cache_line_bytes=8192).geometry()
+
+    def test_misaligned_region_is_refused(self, monkeypatch):
         import repro.engines.batch as batch_mod
 
-        config = _two_mesi()
-        accesses = serialize_workload(
-            {"kind": "racy", "n": 200, "footprint_words": 24, "seed": 13}
-        )
-        vectorised = get_engine("batch").run(config, accesses)
-        monkeypatch.setattr(batch_mod, "_np", None)
-        scalar = get_engine("batch").run(config, accesses)
-        assert scalar.stats == vectorised.stats
-        assert scalar.line_states == vectorised.line_states
-        assert scalar.values == vectorised.values
+        def odd_map(_config):
+            memory_map = MemoryMap()
+            memory_map.add(Region(name="odd", base=0x1000, size=0x30))
+            return memory_map
+
+        monkeypatch.setattr(batch_mod, "build_memory_map", odd_map)
+        with pytest.raises(ConfigError, match="'odd'.*32-byte cache line"):
+            get_engine("batch").run(_two_mesi(), [])

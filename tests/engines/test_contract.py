@@ -7,6 +7,10 @@ promises on real run results, and configurations carry no engine tag
 (an engine is chosen by calling it, not by configuring it).
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.platform import PlatformConfig
@@ -41,14 +45,27 @@ class TestRegistry:
         assert kernel == ["exact"]
 
     def test_every_engine_is_available_here(self):
-        # Every engine runs in this environment: batch's scalar
-        # ingestion stands in when numpy is absent.
+        # Every engine runs in this environment: both are pure
+        # Python, with no optional dependency to fall back from.
         config = reference_config()
         accesses = reference_workload(n=100)
         for name in engine_names():
             result = get_engine(name).run(config, accesses)
             assert result.engine == name
             assert result.accesses == len(accesses)
+
+    def test_engines_and_cache_import_no_numpy(self, tmp_path):
+        # Every trace workload and the service import these: an
+        # optional heavy import here costs every process its load time.
+        code = (
+            "import sys, repro.engines\n"
+            "from repro.exp.cache import ResultCache\n"
+            f"ResultCache({str(tmp_path)!r})\n"
+            "sys.exit('numpy' in sys.modules)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
     def test_compiled_engine_is_gone(self):
         # Native builds are reported by exact's fingerprint instead.

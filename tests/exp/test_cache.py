@@ -1,12 +1,24 @@
 """Unit tests for the content-addressed result cache."""
 
+import hashlib
 import json
 import os
 
 import pytest
 
 from repro.exp import MicrobenchJob, ResultCache, SequenceJob, content_key, job_from_payload
+from repro.exp.cache import canonical_payload
 from repro.workloads import MicrobenchSpec
+
+
+#: the engine fragment every cache key carries
+EXACT = {"name": "exact", "version": 1}
+
+
+def _key_under(engine, payload, version="v"):
+    """The key ``payload`` would have under the ``engine`` fragment."""
+    blob = canonical_payload({"version": version, "engine": engine, "job": payload})
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 @pytest.fixture
@@ -64,55 +76,48 @@ class TestEngineScoping:
 
     def test_engine_changes_key(self, spec):
         payload = MicrobenchJob(spec).payload()
-        assert content_key(payload, "v", engine="exact") != content_key(
-            payload, "v", engine="batch"
-        )
+        batch = {"name": "batch", "version": 1}
+        assert content_key(payload, "v") != _key_under(batch, payload)
 
     def test_default_engine_is_exact(self, spec):
         payload = MicrobenchJob(spec).payload()
-        assert content_key(payload, "v") == content_key(
-            payload, "v", engine="exact"
-        )
+        assert content_key(payload, "v") == _key_under(EXACT, payload)
 
     def test_engine_version_is_in_the_key(self, spec):
-        # The key must move when an engine's version is bumped, not
+        # The key must move when the engine's version is bumped, not
         # just when its name changes.
         from repro.exp.cache import engine_tag
-        from repro.engines import BatchEngine
+        from repro.engines import ExactEngine
 
         payload = MicrobenchJob(spec).payload()
-        before = content_key(payload, "v", engine="batch")
-        original = BatchEngine.version
+        before = content_key(payload, "v")
+        original = ExactEngine.version
         try:
-            BatchEngine.version = original + 1
-            assert engine_tag("batch")["version"] == original + 1
-            assert content_key(payload, "v", engine="batch") != before
+            ExactEngine.version = original + 1
+            assert engine_tag()["version"] == original + 1
+            assert content_key(payload, "v") != before
         finally:
-            BatchEngine.version = original
+            ExactEngine.version = original
 
     def test_cross_engine_hit_is_impossible(self, tmp_path, spec):
-        # Poisoning attempt: store a (stats-only) batch result, then
-        # look the same job up from an exact-engine cache on the same
-        # directory.  The engine-scoped key must miss.
+        # Poisoning attempt: plant a (stats-only) result at the key a
+        # batch-engine cache would use, then look the same job up.
+        # The exact-scoped key must miss.
         payload = MicrobenchJob(spec).payload()
-        batch_cache = ResultCache(str(tmp_path), version="v", engine="batch")
-        batch_cache.put(
-            batch_cache.key_for(payload), payload, {"hits": 10}
-        )
-        exact_cache = ResultCache(str(tmp_path), version="v", engine="exact")
-        assert exact_cache.get(exact_cache.key_for(payload)) is None
-        # ...and the batch cache still sees its own entry.
-        assert batch_cache.get(batch_cache.key_for(payload)) == {"hits": 10}
+        cache = ResultCache(str(tmp_path), version="v")
+        batch_key = _key_under({"name": "batch", "version": 1}, payload)
+        cache.put(batch_key, payload, {"hits": 10})
+        assert cache.key_for(payload) != batch_key
+        assert cache.get(cache.key_for(payload)) is None
 
     def test_entry_records_its_engine(self, tmp_path, spec):
         payload = MicrobenchJob(spec).payload()
-        cache = ResultCache(str(tmp_path), version="v", engine="batch")
+        cache = ResultCache(str(tmp_path), version="v")
         key = cache.key_for(payload)
         cache.put(key, payload, {"hits": 1})
         with open(cache.path_for(key)) as handle:
             entry = json.load(handle)
-        assert entry["engine"]["name"] == "batch"
-        assert isinstance(entry["engine"]["version"], int)
+        assert entry["engine"] == EXACT
 
     def test_legacy_unscoped_entry_is_quarantined(self, tmp_path, spec):
         # A pre-engine-tag entry (no "engine" field) planted at the
