@@ -1,7 +1,7 @@
 """Cross-engine comparison: the same workload through every engine.
 
 Runs the reference workload (two MESI masters, hotspot mix) through
-each registered engine and tabulates throughput plus agreement with
+each engine in ``ENGINES`` and tabulates throughput plus agreement with
 the exact engine — the table EXPERIMENTS.md quotes.  Doubles as an
 end-to-end faithfulness run: the batch engine must reproduce the exact
 engine's counters, final line states and load values.  The native
@@ -13,13 +13,7 @@ from __future__ import annotations
 
 from conftest import report, run_once
 
-from repro.engines import (
-    engine_fingerprint,
-    engine_names,
-    get_engine,
-    reference_config,
-    reference_workload,
-)
+from repro.engines import ENGINES, reference_config, reference_workload
 
 #: timing-only counters the statistics-only engines do not model
 TIMING_KEYS = ("bus.busy",)
@@ -40,8 +34,7 @@ def _run_all():
     accesses = reference_workload(n=N_ACCESSES)
     results = {}
     walls = {}
-    for name in engine_names():
-        engine = get_engine(name)
+    for name, engine in ENGINES.items():
         best = None
         for _ in range(REPEATS):
             result = engine.run(config, accesses)
@@ -58,7 +51,7 @@ def _render(accesses, results, walls):
         f"{'speedup':>8} {'agrees with exact':>18}"
     ]
     for name, result in results.items():
-        native = engine_fingerprint(name)["native"]
+        native = ENGINES[name].fingerprint()["native"]
         agree = (
             _comparable(result.stats) == _comparable(exact.stats)
             and result.line_states == exact.line_states

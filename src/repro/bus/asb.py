@@ -103,15 +103,6 @@ class Snooper:
         """Answer one address phase (called with the bus held)."""
         raise NotImplementedError
 
-    def observe(self, txn: Transaction) -> None:
-        """Passive tap invoked for *every* transaction, own included.
-
-        Never filtered by presence.  No shipped snooper overrides it
-        (the snoop-logic TAG CAM is fed by the controller's
-        install/remove listeners); fault proxies forward it.  Default
-        is a no-op.
-        """
-
 
 # One bus per platform: a __dict__ here is off the per-event path.
 class AsbBus:  # repro: lint-ok[slots]
@@ -160,6 +151,16 @@ class AsbBus:  # repro: lint-ok[slots]
         #: clears the offset within a line (all ones until a master
         #: registers its cache geometry)
         self._line_mask = -1
+
+    @classmethod
+    def build(cls, sim, clock, controller, *, arbiter_factory, **kwargs):
+        """One bus for one platform, the construction path of every fabric.
+
+        ``arbiter_factory`` builds one arbiter of the configured service
+        discipline per call; a fabric with several arbitration domains
+        (the directory's home banks) calls it more than once.
+        """
+        return cls(sim, clock, controller, arbiter=arbiter_factory(), **kwargs)
 
     def inflight_tenures(self) -> List[TenureState]:
         """Live :class:`TenureState` for every in-flight transaction."""
@@ -435,9 +436,9 @@ class AsbBus:  # repro: lint-ok[slots]
         Returns the window's ``(responder, reply)`` pairs in snoop order,
         for :func:`~repro.bus.types.resolve_window`.
 
-        ``observe`` reaches every snooper.  ``snoop`` is skipped only for
-        a presence-filtered snooper whose master is registered and does
-        not hold the line: it would answer OK with no side effect.
+        A presence-filtered snooper is skipped when its master is
+        registered and does not hold the line: it would answer OK with no
+        side effect.
         Snoop logic (its TAG CAM can hold tags the array does not) and
         fault proxies (they count every snoop occasion) are never
         filtered.  The holders are read once, before any snoop
@@ -451,7 +452,6 @@ class AsbBus:  # repro: lint-ok[slots]
         # Snapshot: a snoop callback may detach a snooper (fault-proxy
         # teardown) and must not mutate the sequence being iterated.
         for snooper in tuple(self.snoopers):
-            snooper.observe(txn)
             name = snooper.master_name
             if name == master:
                 continue

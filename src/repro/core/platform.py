@@ -28,7 +28,7 @@ from ..cpu.assembler import Program
 from ..cpu.core import Core
 from ..cpu.presets import CoreConfig
 from ..errors import ConfigError
-from ..fabric import make_fabric
+from ..fabric import FABRICS
 from ..faults import FaultEngine, FaultSpec, Watchdog, WatchdogConfig, apply_faults
 from ..mem.controller import MemoryController, MemoryTiming
 from ..mem.map import MemoryMap, Region, WritePolicy
@@ -70,11 +70,8 @@ LOCKREG_SIZE = 0x0000_1000
 SCRATCH_BASE = 0x6000_0000
 SCRATCH_SIZE = 0x0000_1000
 
-#: the coherence-fabric vocabulary.  The *model* (this module) owns the
-#: names so configs validate without importing :mod:`repro.fabric`; the
-#: fabric registry must cover exactly this tuple — the
-#: ``fabric-contract`` lint rule checks it
-FABRIC_NAMES = ("atomic", "split", "directory")
+#: the coherence-fabric names: the keys of :data:`repro.fabric.FABRICS`
+FABRIC_NAMES = tuple(FABRICS)
 
 
 def classify_platform(configs: Sequence[CoreConfig]) -> str:
@@ -279,8 +276,7 @@ class Platform:
         else:
             def arbiter_factory():
                 return arbiter_cls(self.sim)
-        self.bus = make_fabric(
-            config.fabric,
+        self.bus = FABRICS[config.fabric].build(
             self.sim,
             bus_clock,
             self.memory_controller,

@@ -18,8 +18,8 @@ never imports this package (the ``engine-contract`` lint rule).
 
 from __future__ import annotations
 
+from ..errors import ConfigError
 from .interfaces import EngineRunResult, ISimEngine
-from .registry import engine_fingerprint, engine_names, get_engine
 from .exact import ExactEngine, kernel_is_native, native_modules
 from .batch import BatchEngine
 from .workloads import (
@@ -34,9 +34,8 @@ __all__ = [
     "EngineRunResult",
     "ExactEngine",
     "BatchEngine",
+    "ENGINES",
     "get_engine",
-    "engine_names",
-    "engine_fingerprint",
     "kernel_is_native",
     "native_modules",
     "serialize_traces",
@@ -44,3 +43,16 @@ __all__ = [
     "reference_config",
     "reference_workload",
 ]
+
+#: engine name -> the engine (stateless, so one instance serves every run)
+ENGINES = {"exact": ExactEngine(), "batch": BatchEngine()}
+
+
+def get_engine(name: str) -> ISimEngine:
+    """The engine called ``name``."""
+    try:
+        return ENGINES[name]
+    except KeyError:
+        raise ConfigError(
+            f"unknown engine {name!r}; pick from {sorted(ENGINES)}"
+        ) from None

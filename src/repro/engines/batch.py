@@ -41,7 +41,6 @@ from ..core.reduction import WrapperPolicy, reduce_protocols
 from ..errors import ConfigError, ProtocolError
 from ..mem.map import WritePolicy
 from .interfaces import EngineRunResult, ISimEngine
-from .registry import register_engine
 
 __all__ = ["BatchEngine"]
 
@@ -430,7 +429,6 @@ class _BatchModel:
         return occupancy
 
 
-@register_engine
 class BatchEngine(ISimEngine):
     """Statistics-only functional replay (no event kernel)."""
 

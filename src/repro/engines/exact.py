@@ -23,8 +23,8 @@ import time
 from typing import Dict, Sequence
 
 from ..core.platform import Platform, PlatformConfig
+from ..errors import ConfigError
 from .interfaces import EngineRunResult, ISimEngine
-from .registry import register_engine
 
 __all__ = [
     "ExactEngine",
@@ -68,7 +68,6 @@ def line_state_occupancy(platform: Platform) -> dict:
     return occupancy
 
 
-@register_engine
 class ExactEngine(ISimEngine):
     """The event-kernel engine (the default)."""
 
@@ -79,12 +78,15 @@ class ExactEngine(ISimEngine):
         self, config: PlatformConfig, accesses: Sequence
     ) -> EngineRunResult:
         platform = Platform(config)
-        controllers = platform.controllers
+        # A dict, not the list: controllers[-1] would accept proc == -1.
+        controllers = dict(enumerate(platform.controllers))
         values: list = []
 
         def driver():
             for access in accesses:
-                controller = controllers[access.proc]
+                controller = controllers.get(access.proc)
+                if controller is None:
+                    raise ConfigError("trace references a processor the config lacks")
                 if access.op == "read":
                     value = yield from controller.read(access.addr)
                     values.append(value)

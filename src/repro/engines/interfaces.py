@@ -65,7 +65,7 @@ class EngineRunResult:
 class ISimEngine(ABC):
     """One execution strategy for the coherence model."""
 
-    #: registry key (``get_engine(name)``)
+    #: the engine's key in :data:`repro.engines.ENGINES`
     name: str = "?"
     #: bumped whenever the engine's observable behaviour changes; part
     #: of every content-addressed cache key (a result produced by one

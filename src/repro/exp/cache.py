@@ -71,15 +71,15 @@ DEFAULT_ENGINE = "exact"
 def engine_tag(engine: Optional[str] = None) -> Dict[str, Any]:
     """The ``{"name", "version"}`` key fragment for ``engine``.
 
-    Resolved through the engine registry so a bumped engine version
+    Read from the engine's fingerprint so a bumped engine version
     invalidates that engine's cached results and nobody else's.  The
     ``native`` flag is deliberately excluded: a compiled build of the
     same engine version is semantically identical, so its results are
     interchangeable with the pure-Python ones.
     """
-    from ..engines import engine_fingerprint  # lazy: avoids an import cycle
+    from ..engines import get_engine  # lazy: avoids an import cycle
 
-    fp = engine_fingerprint(engine or DEFAULT_ENGINE)
+    fp = get_engine(engine or DEFAULT_ENGINE).fingerprint()
     return {"name": fp["name"], "version": fp["version"]}
 
 

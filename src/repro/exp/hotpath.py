@@ -202,7 +202,7 @@ def run_suite(quick: bool = False, repeats: int = 3) -> Dict[str, Any]:
     batch engine's throughput is reported by the ``engine_batch_*``
     metrics instead.
     """
-    from ..engines import engine_fingerprint
+    from ..engines import get_engine
 
     scale = 1 if quick else 5
     n_kernel = 40_000 * scale
@@ -228,7 +228,7 @@ def run_suite(quick: bool = False, repeats: int = 3) -> Dict[str, Any]:
         "quick": bool(quick),
         "python": sys.version.split()[0],
         "impl": _platform.python_implementation(),
-        "engine": engine_fingerprint("exact"),
+        "engine": get_engine("exact").fingerprint(),
         "params": {
             "kernel_events": n_kernel,
             "array_lookups": n_array,

@@ -33,9 +33,8 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
+from ..bus.asb import AsbBus
 from ..bus.types import Transaction
-from .atomic import AtomicFabric
-from .registry import register_fabric
 
 __all__ = ["BankedArbiter", "DirectoryFabric"]
 
@@ -74,12 +73,8 @@ class BankedArbiter:
         }
 
 
-@register_fabric
-class DirectoryFabric(AtomicFabric):
+class DirectoryFabric(AsbBus):
     """Per-line-home directory with point-to-point snoop forwarding."""
-
-    name = "directory"
-    version = 1
 
     #: default number of home banks (concurrent arbitration domains)
     DEFAULT_BANKS = 8
@@ -117,35 +112,9 @@ class DirectoryFabric(AtomicFabric):
         self.arbiter = BankedArbiter(self._banks)
 
     @classmethod
-    def build(
-        cls,
-        sim,
-        clock,
-        controller,
-        *,
-        arbiter_factory,
-        tracer=None,
-        stats=None,
-        max_retries=1000,
-    ) -> "DirectoryFabric":
-        return cls(
-            sim,
-            clock,
-            controller,
-            arbiter_factory=arbiter_factory,
-            tracer=tracer,
-            stats=stats,
-            max_retries=max_retries,
-        )
-
-    @classmethod
-    def fingerprint(cls) -> Dict[str, object]:
-        return {
-            "name": cls.name,
-            "version": cls.version,
-            "banks": cls.DEFAULT_BANKS,
-            "lookup_cycles": cls.DIRECTORY_LOOKUP_CYCLES,
-        }
+    def build(cls, sim, clock, controller, *, arbiter_factory, **kwargs):
+        """One arbiter per home bank, each from ``arbiter_factory``."""
+        return cls(sim, clock, controller, arbiter_factory=arbiter_factory, **kwargs)
 
     # -- home banks ---------------------------------------------------------
     def _arbiter_for(self, addr: int):

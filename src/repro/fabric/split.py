@@ -37,23 +37,17 @@ that suite exempts alongside ``bus.busy*``.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Generator, Optional
+from typing import Deque, Generator, Optional
 
-from ..bus.asb import TenureState
+from ..bus.asb import AsbBus, TenureState
 from ..bus.types import Transaction
 from ..sim import Event
-from .atomic import AtomicFabric
-from .registry import register_fabric
 
 __all__ = ["SplitBus"]
 
 
-@register_fabric
-class SplitBus(AtomicFabric):
+class SplitBus(AsbBus):
     """Split-transaction bus: address arbitration decoupled from data."""
-
-    name = "split"
-    version = 1
 
     #: default bound on outstanding data tenures
     DEFAULT_MAX_INFLIGHT = 4
@@ -67,14 +61,6 @@ class SplitBus(AtomicFabric):
         #: completion event of the newest queued data tenure (the tail
         #: of the in-order data pipeline), None when the pipe is empty
         self._data_tail: Optional[Event] = None
-
-    @classmethod
-    def fingerprint(cls) -> Dict[str, object]:
-        return {
-            "name": cls.name,
-            "version": cls.version,
-            "max_inflight": cls.DEFAULT_MAX_INFLIGHT,
-        }
 
     # -- in-flight window ---------------------------------------------------
     def _acquire_slot(self) -> Event:

@@ -89,9 +89,6 @@ class _SnooperProxy(Snooper):
         self.injector = injector
         self.master_name = inner.master_name
 
-    def observe(self, txn: Transaction) -> None:
-        self.inner.observe(txn)
-
     def snoop(self, txn: Transaction) -> SnoopReply:
         return self.injector.filter_snoop(self.inner, txn)
 

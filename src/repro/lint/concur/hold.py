@@ -14,8 +14,8 @@ while another process can run:
    retry-first semantics) carry justified waivers.
 
 2. **Live-registry walk.**  Iterating a ``registry``-kind resource's
-   live attribute (``self.snoopers``) while invoking its callbacks
-   (``snoop`` / ``observe``): a callback may detach a snooper
+   live attribute (``self.snoopers``) while invoking its callback
+   (``snoop``): a callback may detach a snooper
    mid-window (fault teardown), skipping or double-visiting entries —
    the PR 8 detach-during-snoop-window race.  Walk a snapshot
    (``tuple(self.snoopers)``) instead.

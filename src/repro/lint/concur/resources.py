@@ -138,7 +138,7 @@ DEFAULT_RESOURCES: Tuple[ResourceSpec, ...] = (
         kind="registry",
         doc="the bus snooper list walked during an address-phase window",
         registry_attrs=("snoopers",),
-        callback_methods=("snoop", "observe"),
+        callback_methods=("snoop",),
     ),
 )
 

@@ -32,10 +32,12 @@ True
 >>> check_system(["MESI", "MEI", "MOESI"], directory=True).ok
 True
 
-``directory=True`` re-runs the exploration over the directory fabric's
-point-to-point consult (only recorded sharers are snooped, with the
-sharer bits as explicit model state) and adds a fourth property,
-**dir-miss**: the directory never forgets a valid copy.
+``directory=True`` re-runs the exploration over the presence-filtered
+snoop window that all three fabrics run (``AsbBus._snoop_window``:
+only recorded holders are snooped, with the presence bits as explicit
+model state) and adds a fourth property, **dir-miss**: the presence
+map never forgets a valid copy.  The default explores plain broadcast
+snooping, the paper's bus.
 
 The abstract state is ``(states, fresh-bits, mem_fresh)`` — a few
 dozen reachable states for a pair, a few hundred for a triple — so the
@@ -81,10 +83,10 @@ class ModelState:
     ``fresh``/``mem_fresh`` record whether each copy (and memory) holds
     the value of the most recent write; they are the symbolic stand-in
     for data.  Under ``directory=True`` exploration, ``present`` is the
-    directory's per-cache sharer bit, updated by the same install/
-    remove listener discipline the real fabric uses — it is *separate*
+    bus presence map's per-cache bit, updated by the same install/
+    remove listener discipline every fabric uses — it is *separate*
     state precisely so the checker can prove it never diverges from
-    line validity (the ``dir-miss`` property).  Empty on snoopy runs.
+    line validity (the ``dir-miss`` property).  Empty on broadcast runs.
     """
 
     states: Tuple[State, ...]
@@ -159,9 +161,9 @@ class _SystemModel:
     """Transition function for N protocol FSMs under wrapper policies.
 
     ``directory=True`` swaps the broadcast snoop window for the
-    directory fabric's point-to-point consult: only caches whose
+    presence-filtered window all three fabrics run: only caches whose
     presence bit is set get snooped, and the presence bits are kept by
-    the fabric's listener discipline (set on fill/install, cleared on
+    the bus's listener discipline (set on fill/install, cleared on
     any transition to INVALID).  The exhaustive exploration then proves
     that skipping absent caches loses no invalidation — i.e. that the
     presence set is always a superset of the valid copies.
@@ -207,12 +209,12 @@ class _SystemModel:
 
         Returns ``(mem_fresh, supplied_fresh, shared)``, where
         ``supplied_fresh`` is the freshness of cache-to-cache data (None
-        when memory supplies).  Broadcast on snoopy runs; with
-        ``present`` (directory mode) only caches whose sharer bit is set
-        are consulted, exactly the fabric's point-to-point forward.  A
-        valid-but-absent cache is *not* patched over here: the explorer
-        surfaces it as a ``dir-miss`` violation, since a real directory
-        would lose the invalidation.
+        when memory supplies).  Broadcast by default; with ``present``
+        (directory mode) only caches whose presence bit is set are
+        consulted, exactly the presence-filtered window every fabric
+        runs.  A valid-but-absent cache is *not* patched over here: the
+        explorer surfaces it as a ``dir-miss`` violation, since the
+        filtered window would lose the invalidation.
         """
         for attempt in range(2):
             window = []
@@ -383,10 +385,11 @@ def check_system(
     ``wrapped=True`` uses the policies from :func:`reduce_protocols`;
     ``wrapped=False`` uses identity policies (native snooping), which is
     expected to fail for the paper's incompatible combinations.
-    ``directory=True`` runs the same exploration over the directory
-    fabric's point-to-point consult instead of broadcast, with the
-    sharer bits tracked as explicit state and a ``dir-miss`` check that
-    the directory never forgets a valid copy.
+    ``directory=True`` runs the same exploration over the
+    presence-filtered snoop window all three fabrics run instead of
+    broadcast, with the presence bits tracked as explicit state and a
+    ``dir-miss`` check that the presence map never forgets a valid
+    copy.
     """
     names = tuple(protocols)
     n = len(names)

@@ -13,7 +13,7 @@ from repro.bus import (
 )
 from repro.core.platform import FABRIC_NAMES
 from repro.errors import BusError, LivelockError
-from repro.fabric import make_fabric
+from repro.fabric import FABRICS
 from repro.mem import MainMemory, MemoryController, MemoryMap, Region
 from repro.sim import Clock, Simulator
 
@@ -26,8 +26,7 @@ def make_bus(snoopers=(), fabric="atomic", **bus_kwargs):
     sim = Simulator()
     memory = MainMemory()
     memory_map = MemoryMap([Region("ram", 0, 1 << 20)])
-    bus = make_fabric(
-        fabric,
+    bus = FABRICS[fabric].build(
         sim,
         Clock.from_mhz(50),
         MemoryController(memory, memory_map),
@@ -59,14 +58,10 @@ class StubSnooper(Snooper):
         self.master_name = name
         self.reply = reply
         self.seen = []
-        self.observed = []
 
     def snoop(self, txn):
         self.seen.append((txn.op, txn.addr))
         return self.reply
-
-    def observe(self, txn):
-        self.observed.append(txn.op)
 
 
 class TestTiming:
@@ -133,12 +128,6 @@ class TestSnooping:
         sim, _memory, bus = make_bus([snooper])
         run_txn(sim, bus, Transaction(BusOp.READ, 0x0, "m"))
         assert snooper.seen == []
-
-    def test_observe_sees_everything(self):
-        snooper = StubSnooper("m")
-        sim, _memory, bus = make_bus([snooper])
-        run_txn(sim, bus, Transaction(BusOp.READ, 0x0, "m"))
-        assert snooper.observed == [BusOp.READ]
 
     def test_foreign_transactions_snooped(self):
         snooper = StubSnooper("other")
@@ -396,9 +385,6 @@ class TestDetachDuringSnoopWindow:
                 if second in bus.snoopers:
                     bus.detach_snooper(second)
                 return SnoopReply.OK
-
-            def observe(self, txn):
-                pass
 
         bus.attach_snooper(Detacher())
         bus.attach_snooper(second)

@@ -7,12 +7,7 @@ default) the fingerprint reports ``native: False``.  Either way the
 golden-trace test proves the kernel byte-identical.
 """
 
-from repro.engines import (
-    engine_fingerprint,
-    get_engine,
-    kernel_is_native,
-    native_modules,
-)
+from repro.engines import get_engine, kernel_is_native, native_modules
 from repro.engines.exact import HOT_MODULES
 
 
@@ -26,4 +21,3 @@ def test_native_detection_shape():
 def test_capabilities_reflect_the_build():
     fp = get_engine("exact").fingerprint()
     assert fp == {"name": "exact", "version": 1, "native": kernel_is_native()}
-    assert engine_fingerprint("exact") == fp

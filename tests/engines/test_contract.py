@@ -1,10 +1,11 @@
-"""The engine contract: registry soundness, surface, run promises.
+"""The engine contract: the engine dict, surface, run promises.
 
-These tests pin the *shape* of the model/engine split — the registry
+These tests pin the *shape* of the model/engine split — ``ENGINES``
 holds exactly the two shipped engines, every engine implements the
-full :class:`ISimEngine` surface, each engine keeps its documented
-promises on real run results, and configurations carry no engine tag
-(an engine is chosen by calling it, not by configuring it).
+:class:`ISimEngine` surface, each engine keeps its documented promises
+on real run results, both refuse the same malformed traces, and
+configurations carry no engine tag (an engine is chosen by calling
+it, not by configuring it).
 """
 
 import os
@@ -13,35 +14,34 @@ import sys
 
 import pytest
 
-from repro.core.platform import PlatformConfig
+from repro.core.platform import SHARED_BASE, PlatformConfig
 from repro.cpu.presets import preset_generic
 from repro.engines import (
+    ENGINES,
     ISimEngine,
-    engine_fingerprint,
-    engine_names,
     get_engine,
     reference_config,
     reference_workload,
 )
-from repro.engines.registry import register_engine
 from repro.errors import ConfigError
 from repro.exp.cache import DEFAULT_ENGINE
+from repro.workloads.tracegen import TraceAccess
 
 
 class TestRegistry:
     def test_registry_covers_the_platform_vocabulary_exactly(self):
-        assert engine_names() == ["exact", "batch"]
+        assert list(ENGINES) == ["exact", "batch"]
 
     def test_unknown_engine_is_a_config_error(self):
         with pytest.raises(ConfigError, match="unknown engine"):
             get_engine("interpretive-dance")
 
     def test_kernel_engines_are_a_subset(self):
-        # Of the registered engines only exact runs the event kernel.
+        # Of the engines only exact runs the event kernel.
         config = reference_config()
         accesses = reference_workload(n=100)
-        kernel = [name for name in engine_names()
-                  if get_engine(name).run(config, accesses).events > 0]
+        kernel = [name for name, engine in ENGINES.items()
+                  if engine.run(config, accesses).events > 0]
         assert kernel == ["exact"]
 
     def test_every_engine_is_available_here(self):
@@ -49,8 +49,8 @@ class TestRegistry:
         # Python, with no optional dependency to fall back from.
         config = reference_config()
         accesses = reference_workload(n=100)
-        for name in engine_names():
-            result = get_engine(name).run(config, accesses)
+        for name, engine in ENGINES.items():
+            result = engine.run(config, accesses)
             assert result.engine == name
             assert result.accesses == len(accesses)
 
@@ -72,19 +72,6 @@ class TestRegistry:
         with pytest.raises(ConfigError, match="unknown engine"):
             get_engine("compiled")
 
-    def test_duplicate_registration_is_rejected(self):
-        class Impostor(ISimEngine):
-            name = "exact"
-            version = 99
-
-            def run(self, config, accesses):  # pragma: no cover
-                raise NotImplementedError
-
-        with pytest.raises(ConfigError, match="duplicate"):
-            register_engine(Impostor)
-        # The real engine is still the registered one.
-        assert get_engine("exact").version != 99
-
 
 class TestSurface:
     @pytest.mark.parametrize("name", ["exact", "batch"])
@@ -97,7 +84,7 @@ class TestSurface:
 
     @pytest.mark.parametrize("name", ["exact", "batch"])
     def test_fingerprint_carries_cache_key_identity(self, name):
-        fp = engine_fingerprint(name)
+        fp = get_engine(name).fingerprint()
         assert fp["name"] == name
         assert fp["version"] == get_engine(name).version
         assert isinstance(fp["native"], bool)
@@ -113,12 +100,22 @@ class TestSurface:
         batch = get_engine("batch").run(config, accesses)
         assert batch.elapsed_ns == 0 and batch.events == 0
         assert not any(key.startswith("bus.busy") for key in batch.stats)
-        assert engine_fingerprint("batch")["native"] is False
+        assert get_engine("batch").fingerprint()["native"] is False
 
-    def test_lint_surface_validation_is_clean(self):
-        from repro.lint.contracts import ENGINES, validate_surface
 
-        assert validate_surface(ENGINES) == []
+class TestTraceRefusal:
+    @pytest.mark.parametrize("proc", [-1, 2])
+    @pytest.mark.parametrize("name", ["exact", "batch"])
+    def test_trace_naming_a_missing_processor_is_refused(self, name, proc):
+        # Two masters: -1 must not wrap round to the last one, and 2 is
+        # one past the end.
+        config = PlatformConfig(
+            cores=(preset_generic("p0", "MESI"), preset_generic("p1", "MESI")),
+            hardware_coherence=True,
+        )
+        access = TraceAccess(proc, "read", SHARED_BASE, None)
+        with pytest.raises(ConfigError, match="processor the config lacks"):
+            get_engine(name).run(config, [access])
 
 
 class TestSelection:

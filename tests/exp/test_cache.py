@@ -55,12 +55,12 @@ class TestContentKey:
         # Cached results and service job ids are addressed by these
         # keys: a change to the key layout or the exact engine's
         # identity would orphan every stored result.
-        from repro.engines import engine_fingerprint, kernel_is_native
+        from repro.engines import get_engine, kernel_is_native
 
         assert content_key({"kind": "pin"}, "v") == (
             "c0ad53ce4d90047158b360b6a23ff84de1dd58a12359d0fcd0598dd91b53594d"
         )
-        assert engine_fingerprint("exact") == {
+        assert get_engine("exact").fingerprint() == {
             "name": "exact", "version": 1, "native": kernel_is_native(),
         }
 

@@ -1,4 +1,4 @@
-"""The fabric contract: registry, the one tenure loop, fingerprints."""
+"""The fabrics: one dict of bus classes, one tenure loop, one build path."""
 
 import pytest
 
@@ -6,16 +6,8 @@ from repro.bus.asb import AsbBus
 from repro.core.platform import FABRIC_NAMES, Platform, PlatformConfig
 from repro.cpu.presets import preset_generic
 from repro.errors import ConfigError
-from repro.fabric import (
-    AtomicFabric,
-    DirectoryFabric,
-    IFabric,
-    SplitBus,
-    fabric_fingerprint,
-    fabric_names,
-    get_fabric,
-    make_fabric,
-)
+from repro.fabric import FABRICS, DirectoryFabric, SplitBus
+from repro.fuzz.gen import CaseGenerator
 
 
 def _two_core_config(**overrides):
@@ -28,69 +20,48 @@ def _two_core_config(**overrides):
 
 class TestRegistry:
     def test_every_platform_fabric_name_is_registered(self):
-        assert tuple(fabric_names()) == FABRIC_NAMES
+        assert FABRIC_NAMES == tuple(FABRICS) == ("atomic", "split", "directory")
 
     def test_lookup_returns_the_classes(self):
-        assert get_fabric("atomic") is AtomicFabric
-        assert get_fabric("split") is SplitBus
-        assert get_fabric("directory") is DirectoryFabric
+        assert FABRICS["atomic"] is AsbBus
+        assert FABRICS["split"] is SplitBus
+        assert FABRICS["directory"] is DirectoryFabric
 
     def test_unknown_fabric_is_a_config_error(self):
+        # A fuzz campaign checks its fabric before generating any case.
         with pytest.raises(ConfigError, match="unknown fabric"):
-            get_fabric("crossbar")
+            CaseGenerator(seed=0, fabric="crossbar")
 
     def test_unknown_fabric_rejected_by_platform_config(self):
         with pytest.raises(ConfigError, match="unknown fabric"):
             _two_core_config(fabric="crossbar")
 
-    def test_every_fabric_is_an_ifabric(self):
-        for name in fabric_names():
-            assert issubclass(get_fabric(name), IFabric)
-
     def test_no_fabric_defines_its_own_transact(self):
         # One tenure loop: every fabric inherits AsbBus.transact.
-        for name in fabric_names():
-            for cls in get_fabric(name).__mro__:
+        for name, fabric in FABRICS.items():
+            for cls in fabric.__mro__:
                 if cls is not AsbBus:
                     assert "transact" not in vars(cls), (name, cls.__name__)
 
-
-class TestFingerprints:
-    def test_fingerprints_name_themselves(self):
-        for name in fabric_names():
-            fingerprint = fabric_fingerprint(name)
-            assert fingerprint["name"] == name
-            assert "version" in fingerprint
-
-    def test_split_fingerprint_includes_the_window(self):
-        assert "max_inflight" in fabric_fingerprint("split")
-
-    def test_directory_fingerprint_includes_the_banks(self):
-        fingerprint = fabric_fingerprint("directory")
-        assert "banks" in fingerprint and "lookup_cycles" in fingerprint
+    def test_only_the_directory_overrides_the_build(self):
+        # One construction path: AsbBus.build; the directory builds one
+        # arbiter per home bank instead of one for the whole bus.
+        overriding = [
+            name for name, cls in FABRICS.items()
+            if cls is not AsbBus and "build" in vars(cls)
+        ]
+        assert overriding == ["directory"]
 
 
 class TestPlatformWiring:
     @pytest.mark.parametrize("name", FABRIC_NAMES)
     def test_platform_builds_on_every_fabric(self, name):
         platform = Platform(_two_core_config(fabric=name))
-        assert platform.bus.name == name
-        assert isinstance(platform.bus, AsbBus)  # shared bus surface
+        assert type(platform.bus) is FABRICS[name]
 
     def test_default_fabric_is_the_paper_faithful_atomic(self):
         platform = Platform(_two_core_config())
-        assert platform.bus.name == "atomic"
-
-    def test_make_fabric_rejects_unknown_names(self):
-        platform = Platform(_two_core_config())
-        with pytest.raises(ConfigError, match="unknown fabric"):
-            make_fabric(
-                "crossbar",
-                platform.sim,
-                platform.bus.clock,
-                platform.memory_controller,
-                arbiter_factory=lambda: None,
-            )
+        assert type(platform.bus) is AsbBus
 
     @pytest.mark.parametrize("name", FABRIC_NAMES)
     def test_arbitration_disciplines_compose_with_every_fabric(self, name):

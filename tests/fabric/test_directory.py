@@ -5,7 +5,7 @@ import pytest
 from repro.bus import FixedPriorityArbiter
 from repro.core.platform import Platform, PlatformConfig
 from repro.cpu.presets import preset_generic
-from repro.fabric import BankedArbiter, DirectoryFabric, make_fabric
+from repro.fabric import BankedArbiter, DirectoryFabric
 from repro.mem import MainMemory, MemoryController, MemoryMap, Region
 from repro.sim import Clock, Simulator
 from repro.verify.checker import CoherenceChecker
@@ -81,8 +81,7 @@ class TestBanks:
 
     def test_an_unregistered_directory_hashes_lines_to_one_bank(self):
         sim = Simulator()
-        bus = make_fabric(
-            "directory",
+        bus = DirectoryFabric.build(
             sim,
             Clock.from_mhz(50),
             MemoryController(MainMemory(), MemoryMap([Region("ram", 0, 1 << 20)])),

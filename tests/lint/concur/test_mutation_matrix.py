@@ -27,7 +27,7 @@ SRC = Path(repro.__file__).resolve().parent
 SUBSET = [
     "bus/asb.py", "bus/arbiter.py", "bus/types.py",
     "cache/controller.py", "cache/line.py", "cache/array.py",
-    "fabric/atomic.py", "fabric/split.py", "fabric/directory.py",
+    "fabric/split.py", "fabric/directory.py",
     "core/wrapper.py", "core/snoop_logic.py",
     "sim/kernel.py", "sim/resources.py",
     "cpu/core.py",

@@ -226,7 +226,7 @@ class TestLiveRegistryWalk:
                     def _snoop_window(self, txn):
                         snoopers = self.snoopers
                         for snooper in snoopers:
-                            snooper.observe(txn)
+                            snooper.snoop(txn)
                 """
             },
         )
@@ -246,7 +246,7 @@ class TestLiveRegistryWalk:
                             replies.append(snooper.snoop(txn))
                         snapshot = tuple(self.snoopers)
                         for snooper in snapshot:
-                            snooper.observe(txn)
+                            snooper.snoop(txn)
                         return replies
                 """
             },

@@ -438,8 +438,3 @@ class TestFabricContract:
         src = "from ..bus.asb import AsbBus\n"
         files = {"fabric/x.py": src}
         assert _run(make_project, files, ["fabric-contract"]) == []
-
-    def test_live_registry_surface_is_sound(self):
-        from repro.lint.contracts import FABRICS, validate_surface
-
-        assert validate_surface(FABRICS) == []
