@@ -21,7 +21,7 @@ the paper's "transparent view of shared data" claim.
 Run:  python examples/media_pipeline.py
 """
 
-from repro import CoherenceChecker, MicrobenchSpec, Platform
+from repro import CoherenceChecker, MicrobenchSpec
 from repro.core import SCRATCH_BASE, SHARED_BASE, append_isr
 from repro.cpu import Assembler
 from repro.sync import emit_drain_block, emit_invalidate_block

@@ -18,8 +18,8 @@ Quick start::
     result = run_microbench(spec, check=True)
     print(result.elapsed_ns, "ns")
 
-See ``examples/`` for complete walkthroughs and ``benchmarks/`` for the
-per-figure regeneration harness.
+See ``examples/`` for complete walkthroughs and ``repro bench paper``
+for the regeneration of every table and figure.
 """
 
 from .analysis import (

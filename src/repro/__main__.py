@@ -22,7 +22,7 @@ Commands
     mix (use ``none`` for a processor without coherence hardware).
 ``bench SCENARIO SOLUTION``
     Run one microbenchmark configuration and print its statistics.
-``bench {hotpath,scaleout,fabrics,service}``
+``bench {hotpath,scaleout,fabrics,service,paper}``
     Run one committed BENCH suite through the shared driver
     (:mod:`repro.exp.bench`) and print it as a table against its
     baseline (``--baseline``, default the committed
@@ -36,15 +36,19 @@ Commands
     snoopy / split-transaction / directory fabrics and prints the
     snoopy-vs-directory headline; ``service`` runs the campaign-service
     saturation study (dedup under concurrent clients, load shedding at a
-    starved fleet, cache replay).  ``--quick`` shrinks the workload.  A
-    run writes its result document only to ``--output PATH``; ``repro
-    bench <suite> --output BENCH_<suite>.json`` records a baseline.
-    ``--check`` exits 1 when a checked field regresses or is missing
-    (wall-clock rates beyond ``--tolerance``, default 0.25; simulated
-    and counted fields exactly) or the service run breaks its admission
-    invariants, and 2 when the baseline is missing, unparseable or not
-    like for like (another engine, native build or Python
-    implementation).
+    starved fleet, cache replay); ``paper`` regenerates the paper's
+    evaluation (Tables 2/3, Fig 4, Figs 5-8, the headline numbers,
+    ablations, extensions, kernels and trace sweeps) at the paper's
+    parameters.  ``--quick`` shrinks the workload (``paper`` has one
+    size only).  A run writes its result document only to ``--output
+    PATH``; ``repro bench <suite> --output BENCH_<suite>.json`` records
+    a baseline.  ``--check`` exits 1 when a checked field regresses or
+    is missing (wall-clock rates beyond ``--tolerance``, default 0.25;
+    simulated and counted fields exactly) or the run breaks its suite's
+    invariants (hotpath: batch faster than exact; service: admission
+    arithmetic; paper: every claim of the paper), and 2 when the
+    baseline is missing, unparseable or not like for like (another
+    engine, native build or Python implementation).
 ``serve``
     Boot the crash-safe campaign job service (:mod:`repro.service`):
     a stdlib asyncio HTTP API that accepts sweep / fuzz / shrink jobs

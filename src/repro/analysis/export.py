@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import List, Optional
+from typing import List
 
 from .figures import FigureData
 from .headlines import Headline

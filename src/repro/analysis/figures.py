@@ -6,9 +6,9 @@ curves (execution-time ratios against the cache-disabled baseline for
 Figures 5-7, against the software solution for Figure 8).  ``render()``
 prints the same rows/series as the figures, as text.
 
-These sweeps are complete simulations; the benchmark harness under
-``benchmarks/`` calls them with the default (paper) parameters, tests
-use reduced ones.
+These sweeps are complete simulations; ``repro bench paper``
+(:mod:`repro.exp.paper`) calls them with the default (paper)
+parameters, tests use reduced ones.
 
 Every sweep goes through :mod:`repro.exp`: the figure functions build a
 flat list of :class:`~repro.exp.MicrobenchJob` objects and hand it to a
@@ -21,7 +21,7 @@ so parallel and serial runs produce byte-identical figures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..exp import MicrobenchJob, SweepRunner, run_jobs
 from ..workloads.microbench import MicrobenchSpec

@@ -17,11 +17,10 @@ for the snoop logic and an optional hardware lock register.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..bus.arbiter import ARBITERS
-from ..cache.array import CacheGeometry
 from ..cache.controller import CacheController
 from ..cache.protocols import make_protocol
 from ..cpu.assembler import Program

@@ -21,7 +21,7 @@ single-line snoop check to be sound).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..cache.array import CacheGeometry

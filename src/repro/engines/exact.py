@@ -1,9 +1,9 @@
 """The exact engine: the discrete-event kernel, golden-trace identical.
 
 A thin adapter: build the platform, drive the serialised trace through
-the cache controllers one access at a time (each access completes
-before the next begins, exactly like
-:func:`repro.workloads.tracegen.replay_trace`), and collect the
+the cache controllers one access at a time with
+:func:`repro.workloads.tracegen.drive` (each access completes before
+the next begins, exactly like ``replay_trace``), and collect the
 counters plus the final line-state occupancy.
 
 Native builds: ``tools/build_native.py`` compiles the :data:`HOT_MODULES`
@@ -23,7 +23,7 @@ import time
 from typing import Dict, Sequence
 
 from ..core.platform import Platform, PlatformConfig
-from ..errors import ConfigError
+from ..workloads.tracegen import drive
 from .interfaces import EngineRunResult, ISimEngine
 
 __all__ = [
@@ -78,26 +78,10 @@ class ExactEngine(ISimEngine):
         self, config: PlatformConfig, accesses: Sequence
     ) -> EngineRunResult:
         platform = Platform(config)
-        # A dict, not the list: controllers[-1] would accept proc == -1.
-        controllers = dict(enumerate(platform.controllers))
         values: list = []
-
-        def driver():
-            for access in accesses:
-                controller = controllers.get(access.proc)
-                if controller is None:
-                    raise ConfigError("trace references a processor the config lacks")
-                if access.op == "read":
-                    value = yield from controller.read(access.addr)
-                    values.append(value)
-                elif access.op == "swap":
-                    old = yield from controller.swap(access.addr, access.value)
-                    values.append(old)
-                else:
-                    yield from controller.write(access.addr, access.value)
-                    values.append(None)
-
-        platform.sim.process(driver(), name=f"{self.name}-driver")
+        platform.sim.process(
+            drive(platform, accesses, values), name=f"{self.name}-driver"
+        )
         # Wall time is a benchmark metric here, not simulator state:
         # simulated time is elapsed_ns (sim.now) below.
         start = time.perf_counter()  # repro: lint-ok[determinism]

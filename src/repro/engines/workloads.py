@@ -6,8 +6,8 @@ produce either a serial trace or one trace per master;
 :func:`serialize_workload` flattens the latter deterministically
 (round-robin, master order) so the same interleaving drives every
 engine.  :func:`reference_config` / :func:`reference_workload` define
-the standard cross-engine benchmark point used by
-``benchmarks/bench_engines.py`` and the hotpath suite.
+the standard cross-engine benchmark point used by the hotpath suite
+and the engine equivalence tests.
 """
 
 from __future__ import annotations

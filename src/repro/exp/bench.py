@@ -1,10 +1,10 @@
 """One driver for the committed BENCH suites: ``repro bench <suite>``.
 
-Four suites keep a committed baseline at the repository root:
+Five suites keep a committed baseline at the repository root:
 ``BENCH_hotpath.json`` (wall-clock rates of the simulation substrate),
 ``BENCH_scaleout.json`` and ``BENCH_fabrics.json`` (the simulated
-N-master sweeps) and ``BENCH_service.json`` (admission counters of the
-campaign service).  Each suite module supplies data only — a
+N-master sweeps), ``BENCH_service.json`` (admission counters of the
+campaign service) and ``BENCH_paper.json`` (the paper's evaluation).  Each suite module supplies data only — a
 :class:`BenchSuite` naming its ``run`` function, result file, rows,
 checked fields and their comparison kind, table columns and default
 tolerance.  This module owns every step that is the same for all of
@@ -57,7 +57,7 @@ __all__ = [
 
 EXACT, RATE, TIME = "exact", "rate", "time"
 
-SUITE_NAMES = ("hotpath", "scaleout", "fabrics", "service")
+SUITE_NAMES = ("hotpath", "scaleout", "fabrics", "service", "paper")
 
 Document = Dict[str, Any]
 
@@ -94,11 +94,12 @@ def suites() -> Dict[str, BenchSuite]:
     """Every committed suite by name (imports the measurement modules)."""
     from ..service.bench import SUITE as service
     from .hotpath import SUITE as hotpath
+    from .paper import SUITE as paper
     from .scaleout import FABRICS_SUITE, SCALEOUT_SUITE
 
     return {
         suite.name: suite
-        for suite in (hotpath, SCALEOUT_SUITE, FABRICS_SUITE, service)
+        for suite in (hotpath, SCALEOUT_SUITE, FABRICS_SUITE, service, paper)
     }
 
 

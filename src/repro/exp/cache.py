@@ -68,8 +68,9 @@ def _package_version() -> str:
 DEFAULT_ENGINE = "exact"
 
 
-def engine_tag(engine: Optional[str] = None) -> Dict[str, Any]:
-    """The ``{"name", "version"}`` key fragment for ``engine``.
+def engine_tag() -> Dict[str, Any]:
+    """The ``{"name", "version"}`` key fragment for the engine sweep
+    jobs run under (:data:`DEFAULT_ENGINE`).
 
     Read from the engine's fingerprint so a bumped engine version
     invalidates that engine's cached results and nobody else's.  The
@@ -79,7 +80,7 @@ def engine_tag(engine: Optional[str] = None) -> Dict[str, Any]:
     """
     from ..engines import get_engine  # lazy: avoids an import cycle
 
-    fp = get_engine(engine or DEFAULT_ENGINE).fingerprint()
+    fp = get_engine(DEFAULT_ENGINE).fingerprint()
     return {"name": fp["name"], "version": fp["version"]}
 
 

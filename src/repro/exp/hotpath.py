@@ -9,7 +9,8 @@ kernel) and the cross-engine throughput of the reference workload
 writes the results to ``BENCH_hotpath.json`` at the repo root so
 successive PRs accumulate a performance trajectory (the replaced
 numbers are kept under ``previous``), and the CI ``perf-smoke`` job
-fails on regressions against the committed baseline.
+fails on regressions against the committed baseline, or when the batch
+engine is not faster than the exact one (:func:`batch_faster`).
 
 Result documents are **schema 2**: tagged with the execution engine
 (name, version, native build or not) and the Python implementation.
@@ -26,7 +27,7 @@ from __future__ import annotations
 import platform as _platform
 import sys
 import time
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, List
 
 from ..cache.array import CacheArray, CacheGeometry
 from ..cache.line import State
@@ -34,7 +35,7 @@ from ..cache.protocols import make_protocol
 from ..sim import Simulator, Tracer
 from .bench import RATE, TIME, BenchSuite
 
-__all__ = ["SUITE", "run_suite"]
+__all__ = ["SUITE", "batch_faster", "run_suite"]
 
 #: metrics where larger is better (rates); wall times are inverted
 RATE_METRICS = (
@@ -244,6 +245,16 @@ def run_suite(quick: bool = False, repeats: int = 3) -> Dict[str, Any]:
     }
 
 
+def batch_faster(document: Dict[str, Any]) -> List[str]:
+    """The batch engine must outrun the exact one on the reference
+    workload (it exists to be the fast path)."""
+    speedup = document["metrics"]["engine_batch_speedup_vs_exact"]
+    if speedup > 1:
+        return []
+    return [f"engine_batch_speedup_vs_exact {speedup:.2f}: the batch "
+            "engine must be faster than the exact one"]
+
+
 SUITE = BenchSuite(
     name="hotpath",
     bench_file="BENCH_hotpath.json",
@@ -258,4 +269,5 @@ SUITE = BenchSuite(
     tolerance=0.25,
     options=("repeats",),
     previous=("metrics", "python", "impl", "engine", "quick"),
+    invariants=batch_faster,
 )

@@ -37,6 +37,7 @@ from ..verify.checker import CoherenceChecker
 from ..verify.model_check import check_pair
 from ..workloads.tracegen import (
     TraceAccess,
+    drive,
     false_sharing_traces,
     hotspot_trace,
     lock_contention_traces,
@@ -389,29 +390,25 @@ def _run_trace_case(case: FuzzCase) -> CaseResult:
     platform = _trace_platform(case)
     checker = CoherenceChecker(platform, max_violations=64)
     mode, traces = build_workload(case.workload)
-    controllers = platform.controllers
-
-    def driver(accesses):
-        for access in accesses:
-            controller = controllers[access.proc]
-            if access.op == "read":
-                yield from controller.read(access.addr)
-            elif access.op == "swap":
-                yield from controller.swap(access.addr, access.value)
-            else:
-                yield from controller.write(access.addr, access.value)
 
     drivers: List = []
     if mode == "serial":
-        drivers.append(platform.sim.process(driver(traces), name="fuzz-serial"))
+        drivers.append(
+            platform.sim.process(drive(platform, traces), name="fuzz-serial")
+        )
     else:
         for proc in sorted(traces):
             drivers.append(
-                platform.sim.process(driver(traces[proc]), name=f"fuzz-p{proc}")
+                platform.sim.process(
+                    drive(platform, traces[proc]), name=f"fuzz-p{proc}"
+                )
             )
     done = platform.sim.all_of(drivers)
     try:
         platform.sim.run(stop_event=done, max_events=case.max_events)
+        if not done.ok and isinstance(done.value, ConfigError):
+            # A driver refused its trace; the barrier caught the error.
+            raise done.value
     except DeadlockError as exc:
         return CaseResult("deadlock", str(exc), allowed)
     except LivelockError as exc:

@@ -35,7 +35,7 @@ import ast
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..core import Project
-from .cfg import CFG, EXCEPT, NORMAL, Node, walk_no_defs
+from .cfg import CFG, NORMAL, Node, walk_no_defs
 from .resources import ResourceSpec, active_registry
 
 __all__ = ["ConcurAnalysis", "FunctionInfo", "NodeEvents", "WaitEdge", "expr_text"]

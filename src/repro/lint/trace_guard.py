@@ -31,7 +31,7 @@ as is the ``exp/`` harness, which drives enabled channels on purpose.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .core import AstRule, Finding, ModuleSource, register
 

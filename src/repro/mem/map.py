@@ -19,7 +19,7 @@ attribute, mirroring the Intel486's per-line WB/WT configuration.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Iterable, Optional
 

@@ -23,8 +23,6 @@ state in r1-r7.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..cpu.assembler import Assembler
 from ..errors import ConfigError
 

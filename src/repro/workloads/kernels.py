@@ -20,7 +20,7 @@ where manual drain/invalidate calls must go in real code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..core.platform import LOCK_BASE, SHARED_BASE, Platform, PlatformConfig
 from ..core.snoop_logic import append_isr

@@ -32,8 +32,8 @@ Solutions (the three configurations of Table 4):
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.platform import (
     LOCK_BASE,

@@ -5,7 +5,9 @@ want to drive a platform with raw access traces (e.g. to study hit
 rates, sharing patterns or bus utilisation).  This module provides:
 
 * :class:`TraceAccess` / :func:`replay_trace` — run any access sequence
-  through a platform's cache controllers (no programs needed);
+  through a platform's cache controllers (no programs needed); every
+  trace consumer (both replays, the exact engine, fuzz cases) issues
+  its accesses through :func:`drive`;
 * generators for common patterns: :func:`sequential_trace`,
   :func:`strided_trace`, :func:`random_trace` (uniform) and
   :func:`hotspot_trace` (90/10-style skew), plus
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..core.platform import LOCK_BASE, SHARED_BASE, Platform
 from ..errors import ConfigError
@@ -33,6 +35,7 @@ from ..errors import ConfigError
 __all__ = [
     "TraceAccess",
     "TraceResult",
+    "drive",
     "replay_trace",
     "replay_parallel",
     "sequential_trace",
@@ -86,6 +89,33 @@ class TraceResult:
         return self.hits / total if total else 0.0
 
 
+def drive(platform: Platform, accesses: Sequence[TraceAccess], values=None):
+    """Issue ``accesses`` through the platform's cache controllers, one
+    at a time (a simulation process body).
+
+    Each access completes before the next begins.  When ``values`` is a
+    list, each access appends its result: the loaded word, the
+    pre-swap word, or None for a write.  An access naming a processor
+    the platform lacks raises :class:`ConfigError` (a dict, not the
+    list: ``controllers[-1]`` would take ``proc == -1`` as the last
+    master).
+    """
+    controllers = dict(enumerate(platform.controllers))
+    for access in accesses:
+        controller = controllers.get(access.proc)
+        if controller is None:
+            raise ConfigError("trace references a processor the config lacks")
+        if access.op == "read":
+            value = yield from controller.read(access.addr)
+        elif access.op == "swap":
+            value = yield from controller.swap(access.addr, access.value)
+        else:
+            yield from controller.write(access.addr, access.value)
+            value = None
+        if values is not None:
+            values.append(value)
+
+
 def replay_trace(platform: Platform, trace: Sequence[TraceAccess]) -> TraceResult:
     """Drive ``trace`` through the platform, one access at a time.
 
@@ -94,23 +124,8 @@ def replay_trace(platform: Platform, trace: Sequence[TraceAccess]) -> TraceResul
     contention studies use per-processor traces and
     :func:`replay_parallel`).
     """
-    controllers = platform.controllers
     values: List[Optional[int]] = []
-
-    def driver():
-        for access in trace:
-            controller = controllers[access.proc]
-            if access.op == "read":
-                value = yield from controller.read(access.addr)
-                values.append(value)
-            elif access.op == "swap":
-                old = yield from controller.swap(access.addr, access.value)
-                values.append(old)
-            else:
-                yield from controller.write(access.addr, access.value)
-                values.append(None)
-
-    platform.sim.process(driver())
+    platform.sim.process(drive(platform, trace, values))
     platform.sim.run(detect_deadlock=False)
     return _collect(platform, len(trace), values)
 
@@ -119,23 +134,11 @@ def replay_parallel(
     platform: Platform, traces: Dict[int, Sequence[TraceAccess]]
 ) -> TraceResult:
     """Replay one trace per processor concurrently (contention study)."""
-    controllers = platform.controllers
-
-    def driver(accesses):
-        for access in accesses:
-            controller = controllers[access.proc]
-            if access.op == "read":
-                yield from controller.read(access.addr)
-            elif access.op == "swap":
-                yield from controller.swap(access.addr, access.value)
-            else:
-                yield from controller.write(access.addr, access.value)
-
     for proc, accesses in traces.items():
         for access in accesses:
             if access.proc != proc:
                 raise ConfigError("trace assigned to the wrong processor")
-        platform.sim.process(driver(accesses), name=f"trace-p{proc}")
+        platform.sim.process(drive(platform, accesses), name=f"trace-p{proc}")
     platform.sim.run(detect_deadlock=False)
     total = sum(len(t) for t in traces.values())
     return _collect(platform, total, [])

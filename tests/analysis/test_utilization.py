@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.utilization import BusUtilization, bus_utilization
+from repro.analysis.utilization import bus_utilization
 from repro.workloads import MicrobenchSpec, run_microbench
 
 

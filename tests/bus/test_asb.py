@@ -12,7 +12,7 @@ from repro.bus import (
     Transaction,
 )
 from repro.core.platform import FABRIC_NAMES
-from repro.errors import BusError, LivelockError
+from repro.errors import LivelockError
 from repro.fabric import FABRICS
 from repro.mem import MainMemory, MemoryController, MemoryMap, Region
 from repro.sim import Clock, Simulator
@@ -287,6 +287,17 @@ class TestStats:
         assert bus.stats.get("bus.txns") == 2
         assert bus.stats.get("bus.op.read") == 1
         assert bus.stats.get("bus.op.write") == 1
+
+    def test_every_tenure_counts_once(self):
+        sim, _memory, bus = make_bus()
+
+        def master():
+            for i in range(300):
+                yield from bus.transact(Transaction(BusOp.READ, (i % 64) * 4, "m"))
+
+        sim.process(master())
+        sim.run()
+        assert bus.stats.get("bus.txns") == 300
 
     def test_busy_ticks_accumulate(self):
         sim, _memory, bus = make_bus()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bus import AsbBus, BusOp, Priority, SnoopAction, Transaction
+from repro.bus import AsbBus, BusOp, SnoopAction, Transaction
 from repro.cache import (
     CacheController,
     CacheGeometry,
@@ -70,6 +70,17 @@ class TestReads:
         value = run(sim, controller.read(0x104))
         assert value == 0
         assert bus.stats.get("bus.txns") == txns_before
+
+    def test_one_fill_then_every_read_of_the_line_hits(self):
+        sim, _memory, _bus, controller = make_setup(ways=4, size=4096)
+
+        def accessor():
+            yield from controller.read(0x100)
+            for _ in range(500):
+                yield from controller.read(0x104)
+
+        run(sim, accessor())
+        assert controller.stats.get("cpu0.hits") == 500
 
     def test_msi_fill_is_shared_state(self):
         sim, _memory, _bus, controller = make_setup(protocol="MSI")

@@ -15,7 +15,7 @@ from repro.cpu import (
     preset_intel486,
     preset_powerpc755,
 )
-from repro.errors import ConfigError, IntegrationError
+from repro.errors import ConfigError
 
 
 def pf2_config(**overrides):

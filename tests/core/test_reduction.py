@@ -9,7 +9,6 @@ from repro.cache import State
 from repro.core import (
     PROTOCOL_STATES,
     SharedMode,
-    WrapperPolicy,
     reduce_protocols,
     system_states,
 )

@@ -1,9 +1,6 @@
 """Tests for the seeded FIQ response jitter."""
 
-import pytest
-
-from repro.core import Platform, PlatformConfig
-from repro.cpu import Assembler, preset_arm920t, preset_powerpc755
+from repro.cpu import preset_arm920t, preset_powerpc755
 from repro.workloads import MicrobenchSpec, run_microbench
 
 

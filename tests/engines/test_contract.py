@@ -3,7 +3,8 @@
 These tests pin the *shape* of the model/engine split — ``ENGINES``
 holds exactly the two shipped engines, every engine implements the
 :class:`ISimEngine` surface, each engine keeps its documented promises
-on real run results, both refuse the same malformed traces, and
+on real run results, every trace consumer refuses the same malformed
+traces, and
 configurations carry no engine tag (an engine is chosen by calling
 it, not by configuring it).
 """
@@ -14,7 +15,7 @@ import sys
 
 import pytest
 
-from repro.core.platform import SHARED_BASE, PlatformConfig
+from repro.core.platform import SHARED_BASE, Platform, PlatformConfig
 from repro.cpu.presets import preset_generic
 from repro.engines import (
     ENGINES,
@@ -25,7 +26,8 @@ from repro.engines import (
 )
 from repro.errors import ConfigError
 from repro.exp.cache import DEFAULT_ENGINE
-from repro.workloads.tracegen import TraceAccess
+from repro.fuzz.case import FuzzCase, run_case
+from repro.workloads.tracegen import TraceAccess, replay_parallel, replay_trace
 
 
 class TestRegistry:
@@ -103,9 +105,33 @@ class TestSurface:
         assert get_engine("batch").fingerprint()["native"] is False
 
 
+def _fuzz_case(config, access):
+    # A fuzz case reports the refusal as its "error" outcome.
+    result = run_case(FuzzCase(
+        seed=0,
+        protocols=tuple(core.protocol for core in config.cores),
+        workload={"kind": "explicit-serial",
+                  "accesses": [[access.proc, access.op, access.addr, 0]]},
+    ))
+    assert result.outcome == "error"
+    raise ConfigError(result.detail)
+
+
+#: every consumer of a trace: both engines, both replays and fuzz cases
+TRACE_CALLERS = {
+    "exact": lambda config, access: get_engine("exact").run(config, [access]),
+    "batch": lambda config, access: get_engine("batch").run(config, [access]),
+    "replay_trace": lambda config, access: replay_trace(
+        Platform(config), [access]),
+    "replay_parallel": lambda config, access: replay_parallel(
+        Platform(config), {access.proc: [access]}),
+    "fuzz_case": _fuzz_case,
+}
+
+
 class TestTraceRefusal:
     @pytest.mark.parametrize("proc", [-1, 2])
-    @pytest.mark.parametrize("name", ["exact", "batch"])
+    @pytest.mark.parametrize("name", list(TRACE_CALLERS))
     def test_trace_naming_a_missing_processor_is_refused(self, name, proc):
         # Two masters: -1 must not wrap round to the last one, and 2 is
         # one past the end.
@@ -115,7 +141,7 @@ class TestTraceRefusal:
         )
         access = TraceAccess(proc, "read", SHARED_BASE, None)
         with pytest.raises(ConfigError, match="processor the config lacks"):
-            get_engine(name).run(config, [access])
+            TRACE_CALLERS[name](config, access)
 
 
 class TestSelection:

@@ -17,7 +17,13 @@ import pytest
 
 from repro.core.platform import SHARED_BASE, PlatformConfig
 from repro.cpu.presets import preset_generic, preset_intel486
-from repro.engines import get_engine, serialize_traces, serialize_workload
+from repro.engines import (
+    get_engine,
+    reference_config,
+    reference_workload,
+    serialize_traces,
+    serialize_workload,
+)
 from repro.workloads.tracegen import hotspot_trace
 
 #: timing-only counters the statistics-only engines do not model
@@ -67,6 +73,11 @@ def assert_same_replay(config, accesses):
     assert batch.line_states == exact.line_states
     assert batch.values == exact.values
     return exact
+
+
+def test_reference_workload():
+    # The workload the hotpath suite times both engines on, at full size.
+    assert_same_replay(reference_config(), reference_workload(n=5000))
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

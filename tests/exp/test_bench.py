@@ -19,6 +19,8 @@ from repro.exp.bench import (
     suites,
     write_results,
 )
+from repro.exp.paper import BCS_32, BCS_96, WCS_ET4, paper_invariants
+from repro.exp.paper import SUITE as PAPER_SUITE
 from repro.service.bench import SUITE as SERVICE_SUITE
 from repro.service.bench import overlap_invariants
 
@@ -207,3 +209,190 @@ class TestServiceInvariants:
         # --check reports them even against a baseline with the same fault
         assert any(message in f
                    for f in check_regression(SERVICE_SUITE, broken, broken))
+
+
+class TestHotpathInvariant:
+    def test_committed_run_holds_it(self):
+        committed = load_results(str(REPO_ROOT / "BENCH_hotpath.json"))
+        assert hotpath.batch_faster(committed) == []
+
+    def test_batch_no_faster_than_exact_fails_check(self):
+        committed = load_results(str(REPO_ROOT / "BENCH_hotpath.json"))
+        broken = json.loads(json.dumps(committed))
+        broken["metrics"]["engine_batch_speedup_vs_exact"] = 1.0
+        assert any(
+            "batch engine must be faster" in failure
+            for failure in check_regression(hotpath.SUITE, broken, broken)
+        )
+
+
+def _times(experiment, point, factor):
+    """``factor`` times another row's committed value."""
+    return lambda value: value(experiment, point) * factor
+
+
+#: (experiment, point, new value, message): each pushes one row of the
+#: committed paper run past one bound of one claim
+PAPER_BREAKS = [
+    ("fig4", "none deadlocked", False, "fig4: cached locks must deadlock"),
+    ("fig4", "uncached-locks deadlocked", True, "uncached-locks must not"),
+    ("fig4", "lock-register deadlocked", True, "lock-register must not"),
+    ("fig4", "bakery deadlocked", True, "bakery must not deadlock"),
+    ("fig5", "software et=2 lines=8", 1.0,
+     "fig5 et=2 lines=8: caching must beat cache-disabled"),
+    ("fig5", "proposed et=1 lines=4", _times("fig5", "software et=1 lines=4", 1.021),
+     "fig5 et=1 lines=4: proposed 0.445 must stay below 1.02x software"),
+    ("fig5", "proposed et=4 lines=32", _times("fig5", "proposed et=1 lines=32", 1.0),
+     "fig5: proposed at 32 lines must improve with exec_time"),
+    ("fig6", "proposed et=2 lines=16", _times("fig6", "software et=2 lines=16", 1.0),
+     "fig6 et=2 lines=16: proposed 0.410 must beat software"),
+    ("fig6", "proposed et=1 lines=8", 0.25, "fig6: bcs speedup must not fall"),
+    ("fig6", "proposed et=1 lines=32", _times("fig6", "software et=1 lines=32", 0.71),
+     "fig6: 0.30 <= bcs_speedup_32 (0.290) <= 0.50"),
+    ("fig6", "proposed et=1 lines=32", _times("fig6", "software et=1 lines=32", 0.49),
+     "fig6: 0.30 <= bcs_speedup_32 (0.510) <= 0.50"),
+    ("fig7", "proposed et=4 lines=2", _times("fig7", "software et=4 lines=2", 1.0),
+     "fig7 et=4 lines=2: proposed"),
+    ("fig7", "proposed et=1 lines=32", _times("fig7", "software et=1 lines=32", 0.91),
+     "fig7: 0.10 <= tcs_speedup_32 (0.090) <= 0.45"),
+    ("fig7", "proposed et=1 lines=32", _times("fig7", "software et=1 lines=32", 0.54),
+     "fig7: 0.10 <= tcs_speedup_32 (0.460) <= 0.45"),
+    ("fig8", "bcs lines=1 penalty=96", _times("fig8", "bcs lines=1 penalty=13", 1.0),
+     "fig8 bcs lines=1: ratio at 96 cycles"),
+    ("fig8", "bcs lines=32 penalty=96", _times("fig8", "bcs lines=32 penalty=13", 1.0),
+     "fig8 bcs lines=32: ratio at 96 cycles"),
+    ("fig8", "tcs lines=1 penalty=13", _times("fig8", "tcs lines=1 penalty=96", 1.0),
+     "fig8 tcs lines=1: ratio at 96 cycles"),
+    ("fig8", "tcs lines=32 penalty=96", 0.7, "fig8 tcs lines=32: ratio at 96 cycles"),
+    ("fig8", "bcs lines=32 penalty=96", 0.41,
+     "fig8: 0.6 <= bcs_speedup_32_at_96 (0.590) <= 0.85"),
+    ("fig8", "bcs lines=32 penalty=96", 0.14,
+     "fig8: 0.6 <= bcs_speedup_32_at_96 (0.860) <= 0.85"),
+    ("fig8", "wcs lines=32 penalty=48", 0.89, "0.9 <= wcs_ratio_32 at 48 cycles"),
+    ("fig8", "wcs lines=32 penalty=13", 1.06, "0.9 <= wcs_ratio_32 at 13 cycles"),
+    ("headlines", BCS_32, 28.22, "must be within 10 points of the paper's 38.22 %"),
+    ("headlines", BCS_32, 48.22, "must be within 10 points of the paper's 38.22 %"),
+    ("headlines", BCS_96, 66.0, "must be within 10 points of the paper's 76.0 %"),
+    ("headlines", BCS_96, 86.0, "must be within 10 points of the paper's 76.0 %"),
+    ("headlines", WCS_ET4, 50.0, "must exceed 50 %"),
+    ("table2", "unwrapped stale_reads", 0, "table2: unwrapped must read stale"),
+    ("table2", "unwrapped d states", "S,I", "table2: unwrapped step d must reach S,M"),
+    ("table2", "wrapped stale_reads", 1, "table2: wrapped must read no stale"),
+    ("table2", "wrapped violations", 1, "table2: wrapped must record no violations"),
+    ("table2", "wrapped system_protocol", "MESI",
+     "table2: wrapped system protocol must be MEI"),
+    ("table2", "wrapped b states", "S,E", "table2: no wrapped step may reach S"),
+    ("table3", "unwrapped stale_reads", 2, "table3: unwrapped must read stale"),
+    ("table3", "unwrapped b states", "S,S", "table3: unwrapped step b must reach S,E"),
+    ("table3", "wrapped stale_reads", 1, "table3: wrapped must read no stale"),
+    ("table3", "wrapped system_protocol", "MESI",
+     "table3: wrapped system protocol must be MSI"),
+    ("table3", "wrapped c states", "E,I", "table3: no wrapped step may reach E"),
+    ("ablation-wrapper", "MESI+MEI unwrapped: stale reads", 0,
+     "MESI+MEI unwrapped must read stale data"),
+    ("ablation-wrapper", "MESI+MEI wrapped: stale reads", 1,
+     "MESI+MEI wrapped must read no stale data"),
+    ("ablation-wrapper", "MSI+MESI unwrapped: stale reads", 0,
+     "MSI+MESI unwrapped must read stale data"),
+    ("ablation-wrapper", "MSI+MESI wrapped: stale reads", 1,
+     "MSI+MESI wrapped must read no stale data"),
+    ("ablation-wrapper", "MESI+MOESI wrapped: stale reads", 1,
+     "MESI+MOESI wrapped must read no stale data"),
+    ("ablation-interrupt", "WCS proposed, interrupt entry = 8 cycles", 171_000,
+     "ablation-interrupt: run time must not fall"),
+    ("ablation-locks", "TCS proposed, hw lock", 121_021,
+     "hw lock (121021 ns) must be no slower"),
+    ("ablation-locks", "TCS proposed, bakery lock", 121_000,
+     "must be no slower than bakery lock (121000 ns)"),
+    ("ablation-arbitration", "WCS proposed, fixed arbitration", 0,
+     "ablation-arbitration: fixed must take simulated time"),
+    ("ablation-arbitration", "WCS proposed, round-robin arbitration", 0,
+     "ablation-arbitration: round-robin must take simulated time"),
+    ("ablation-capacity", "fits proposed",
+     _times("ablation-capacity", "fits software", 0.75),
+     "speedup when the block fits (25.0 %) must exceed 25 %"),
+    ("ablation-capacity", "thrashes proposed",
+     _times("ablation-capacity", "thrashes software", 0.79),
+     "speedup when it thrashes (21.0 %) must be under half"),
+    ("ext-dma", "hardware_coherence=True copied", 0,
+     "a coherent DMA must copy the dirty word"),
+    ("ext-dma", "hardware_coherence=False copied", 0xC0DE,
+     "an incoherent DMA must copy stale memory"),
+    ("ext-update", "DRAGON fills", 3, "DRAGON must fill twice"),
+    ("ext-update", "DRAGON updates", 11, "DRAGON must update 12 times"),
+    ("ext-update", "MESI updates", 1, "MESI must not update"),
+    ("ext-update", "DRAGON elapsed_ns", _times("ext-update", "MESI elapsed_ns", 1),
+     "DRAGON must finish before MESI"),
+    ("ext-scaling", "3 processors proposed", 130_000,
+     "ext-scaling: proposed time must not fall"),
+    ("kernel-reduction", "proposed correct", False,
+     "kernel-reduction: proposed must compute the reference result"),
+    ("kernel-jacobi", "software correct", False,
+     "kernel-jacobi: software must compute the reference result"),
+    ("kernel-token-ring", "3 cores correct", False,
+     "kernel-token-ring: 3 cores must compute the reference result"),
+    ("kernel-reduction", "software elapsed_ns",
+     _times("kernel-reduction", "disabled elapsed_ns", 1),
+     "kernel-reduction: proposed (14260) < software"),
+    ("kernel-reduction", "proposed elapsed_ns",
+     _times("kernel-reduction", "software elapsed_ns", 1),
+     "kernel-reduction: proposed (15440) < software"),
+    ("kernel-jacobi", "proposed elapsed_ns",
+     _times("kernel-jacobi", "software elapsed_ns", 1),
+     "kernel-jacobi: proposed (61760) < software"),
+    ("trace-knee", "footprint=128 hit_rate", 0.995,
+     "trace-knee: hit rate must not rise"),
+    ("trace-knee", "footprint=64 hit_rate", 0.95, "must hit > 0.95 (0.950)"),
+    ("trace-knee", "footprint=1024 hit_rate", 0.5, "must hit < 0.5 (0.500)"),
+    ("trace-stride", "stride=8 hit_rate", 0.9, "word stride must hit the most"),
+    ("trace-stride", "stride=32 hit_rate", 0.1, "stride 32 must never hit"),
+    ("trace-stride", "stride=64 hit_rate", 0.1, "stride 64 must never hit"),
+    ("trace-sharing", "producer-consumer fills",
+     _times("trace-sharing", "private fills", 1),
+     "trace-sharing: producer-consumer fills"),
+    ("trace-sharing", "producer-consumer elapsed_ns",
+     _times("trace-sharing", "private elapsed_ns", 1),
+     "trace-sharing: producer-consumer elapsed_ns"),
+]
+
+
+class TestPaperInvariants:
+    @pytest.fixture
+    def committed(self):
+        return load_results(str(REPO_ROOT / "BENCH_paper.json"))
+
+    def test_committed_run_holds_them(self, committed):
+        assert paper_invariants(committed) == []
+        assert check_regression(PAPER_SUITE, committed, committed) == []
+
+    @pytest.mark.parametrize(
+        "experiment, point, value, message", PAPER_BREAKS,
+        ids=[f"{i}-{row[0]}" for i, row in enumerate(PAPER_BREAKS)],
+    )
+    def test_check_reports_each_broken_claim(self, committed, experiment,
+                                             point, value, message):
+        broken = json.loads(json.dumps(committed))
+        rows = {(row["experiment"], row["point"]): row for row in broken["rows"]}
+        if callable(value):
+            value = value(lambda e, p: rows[(e, p)]["value"])
+        rows[(experiment, point)]["value"] = value
+        failures = check_regression(PAPER_SUITE, broken, broken)
+        assert any(message in failure for failure in failures), failures
+
+    def test_a_missing_row_fails(self, committed):
+        broken = dict(committed, rows=[
+            row for row in committed["rows"]
+            if (row["experiment"], row["point"]) != ("fig8", "wcs lines=32 penalty=72")
+        ])
+        assert paper_invariants(broken) == [
+            "row fig8@wcs lines=32 penalty=72 is missing"
+        ]
+
+    def test_drift_from_the_baseline_names_row_and_field(self, committed):
+        baseline = json.loads(json.dumps(committed))
+        row = next(row for row in baseline["rows"] if row["experiment"] == "ext-update")
+        row["value"] += 20
+        assert check_regression(PAPER_SUITE, committed, baseline) == [
+            f"ext-update@{row['point']}: value {row['value'] - 20:,} != "
+            f"baseline {row['value']:,}"
+        ]

@@ -16,6 +16,8 @@ from repro.analysis import (
 from repro.exp import SweepRunner
 
 REDUCED = dict(line_counts=(1, 2), exec_times=(1,), iterations=2)
+#: a larger figure, run serially: cold, then warm from the cache
+COLD_WARM = dict(line_counts=(1, 2, 4, 8), exec_times=(1, 2), iterations=4)
 
 
 class TestFigureDeterminism:
@@ -26,12 +28,23 @@ class TestFigureDeterminism:
         assert figure_to_json(parallel) == figure_to_json(serial)
 
     def test_cached_rerun_is_byte_identical(self, tmp_path):
-        cold = figure5_wcs(runner=SweepRunner(jobs=2, cache_dir=str(tmp_path)), **REDUCED)
-        warm_runner = SweepRunner(jobs=2, cache_dir=str(tmp_path))
-        warm = figure5_wcs(runner=warm_runner, **REDUCED)
-        assert warm_runner.executed == 0  # answered entirely from cache
-        assert figure_to_csv(warm) == figure_to_csv(cold)
-        assert figure_to_json(warm) == figure_to_json(cold)
+        _cold_then_warm(tmp_path, jobs=2, sweep=REDUCED)
+
+    def test_serial_cold_then_warm_sweep(self, tmp_path):
+        _cold_then_warm(tmp_path, jobs=1, sweep=COLD_WARM)
+
+
+def _cold_then_warm(tmp_path, jobs, sweep):
+    cold_runner = SweepRunner(jobs=jobs, cache_dir=str(tmp_path))
+    cold = figure5_wcs(runner=cold_runner, **sweep)
+    n_jobs = cold_runner.manifest()["n_jobs"]
+    assert cold_runner.executed == n_jobs
+    warm_runner = SweepRunner(jobs=jobs, cache_dir=str(tmp_path))
+    warm = figure5_wcs(runner=warm_runner, **sweep)
+    assert warm_runner.executed == 0  # answered entirely from cache
+    assert warm_runner.cache_hits == n_jobs
+    assert figure_to_csv(warm) == figure_to_csv(cold)
+    assert figure_to_json(warm) == figure_to_json(cold)
 
 
 class TestHeadlineDeterminism:

@@ -2,15 +2,9 @@
 
 import pytest
 
-from repro.core.platform import SHARED_BASE
 from repro.errors import ConfigError, LivelockError
-from repro.faults import SITES, FaultSpec, WatchdogConfig
-from repro.faults.matrix import (
-    MATRIX_MAX_RETRIES,
-    MATRIX_WATCHDOG,
-    default_matrix,
-    run_entry,
-)
+from repro.faults import SITES, FaultSpec
+from repro.faults.matrix import default_matrix, run_entry
 from repro.workloads.microbench import (
     MicrobenchSpec,
     build_programs,

@@ -9,7 +9,6 @@ from repro.faults.matrix import (
     default_matrix,
     render_results,
     results_to_json,
-    run_entry,
     run_matrix,
 )
 

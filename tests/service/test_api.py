@@ -1,14 +1,13 @@
 """End-to-end API tests: a live service, real sockets, real workers."""
 
 import http.client
-import json
 import time
 
 import pytest
 
 from repro.errors import IntegrationError
 from repro.service.bench import ServiceHarness
-from repro.service.client import ServiceClient, ServiceHTTPError
+from repro.service.client import ServiceHTTPError
 from repro.service.config import ServiceConfig
 
 

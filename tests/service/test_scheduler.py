@@ -57,7 +57,8 @@ class TestAdmission:
         # are filed under exact's identity; there is no engine knob to
         # file them under another.
         scheduler = make_scheduler(tmp_path)
-        assert scheduler.cache.engine == engine_tag("exact")
+        assert scheduler.cache.engine == engine_tag()
+        assert engine_tag()["name"] == "exact"
         assert "engine" not in scheduler.config.to_dict()
         scheduler.shutdown()
         with pytest.raises(TypeError, match="engine"):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim import AllOf, AnyOf, Event, Interrupt, Simulator
+from repro.sim import AllOf, AnyOf, Interrupt, Simulator
 
 
 @pytest.fixture
@@ -53,6 +53,15 @@ class TestEvent:
 
 
 class TestTimeout:
+    def test_back_to_back_timeouts_add_up(self, sim):
+        def ticker():
+            for _ in range(2000):
+                yield sim.timeout(5)
+
+        sim.process(ticker())
+        sim.run()
+        assert sim.now == 10_000
+
     def test_fires_at_delay(self, sim):
         fired = []
 

@@ -10,7 +10,6 @@ from repro.core.coherence import step_for
 from repro.core.reduction import WrapperPolicy
 from repro.errors import ProtocolError
 from repro.verify.model_check import (
-    CheckResult,
     ModelState,
     _SystemModel,
     check_matrix,

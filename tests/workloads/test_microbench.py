@@ -133,6 +133,10 @@ class TestRuns:
         result = run_microbench(spec, check=True)
         assert result.elapsed_ns > 0
 
+    def test_default_platform_run_takes_time(self):
+        spec = MicrobenchSpec("wcs", "proposed", lines=4, exec_time=1, iterations=4)
+        assert run_microbench(spec).elapsed_ns > 0
+
     def test_final_memory_values_correct(self):
         """WCS with both tasks incrementing: totals must add up."""
         spec = MicrobenchSpec(
