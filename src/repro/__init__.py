@@ -29,7 +29,6 @@ from .analysis import (
     figure6_bcs,
     figure7_tcs,
     figure8_miss_penalty,
-    render_headlines,
 )
 from .cache import CacheController, CacheGeometry, State, make_protocol
 from .core import (
@@ -131,7 +130,6 @@ __all__ = [
     "figure7_tcs",
     "figure8_miss_penalty",
     "compute_headlines",
-    "render_headlines",
     # experiment orchestration
     "SweepRunner",
     "ResultCache",

@@ -2,10 +2,6 @@
 
 Commands
 --------
-``headlines``
-    Re-measure the paper's quoted numbers and print paper-vs-measured.
-``figure {5,6,7,8}``
-    Regenerate one evaluation figure and print it as a text table.
 ``tables``
     Execute the Table 2 / Table 3 sequences with and without wrappers.
 ``deadlock``
@@ -39,11 +35,15 @@ Commands
     starved fleet, cache replay); ``paper`` regenerates the paper's
     evaluation (Tables 2/3, Fig 4, Figs 5-8, the headline numbers,
     ablations, extensions, kernels and trace sweeps) at the paper's
-    parameters.  ``--quick`` shrinks the workload (``paper`` has one
-    size only).  A run writes its result document only to ``--output
-    PATH``; ``repro bench <suite> --output BENCH_<suite>.json`` records
-    a baseline.  ``--check`` exits 1 when a checked field regresses or
-    is missing (wall-clock rates beyond ``--tolerance``, default 0.25;
+    parameters; it is the one path that regenerates the paper, and its
+    runner flags ``--jobs N`` (worker processes) and ``--cache-dir
+    DIR`` (on-disk result cache, run manifest in
+    ``DIR/manifest.json``) change its speed, never its rows.
+    ``--quick`` shrinks the workload (``paper`` has one size only).  A
+    run writes its result document only to ``--output PATH``; ``repro
+    bench <suite> --output BENCH_<suite>.json`` records a baseline.
+    ``--check`` exits 1 when a checked field regresses or is missing
+    (wall-clock rates beyond ``--tolerance``, default 0.25;
     simulated and counted fields exactly) or the run breaks its suite's
     invariants (hotpath: batch faster than exact; service: admission
     arithmetic; paper: every claim of the paper), and 2 when the
@@ -74,16 +74,6 @@ Commands
     Run the static-analysis suite (:mod:`repro.lint`) over the package
     source: AST hazard rules plus the protocol-table validators.  See
     ``docs/static-analysis.md``.
-``sweep [figures|headlines|ablations|all]``
-    Regenerate evaluation sweeps through the parallel runner
-    (:mod:`repro.exp`): ``--jobs N`` fans simulations over N worker
-    processes, ``--cache-dir DIR`` answers repeats from the on-disk
-    result cache, ``--manifest PATH`` writes the run manifest JSON.
-    ``figure`` and ``headlines`` accept the same ``--jobs`` /
-    ``--cache-dir`` flags.
-
-Every simulation command accepts ``--iterations N`` to trade accuracy
-for speed.
 
 Exit codes are uniform across subcommands: 0 success, 1 failure of the
 command's check (regression, mismatch, lint finding), 2 usage or
@@ -96,23 +86,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .analysis import (
-    ablation_arbitration,
-    ablation_interrupt,
-    ablation_locks,
-    ablation_wrapper,
-    compute_headlines,
-    figure5_wcs,
-    figure6_bcs,
-    figure7_tcs,
-    figure8_miss_penalty,
-    render_headlines,
-    render_rows,
-)
 from .core.deadlock import SOLUTIONS, run_deadlock_demo
 from .core.reduction import reduce_protocols
 from .errors import ConfigError, IntegrationError, ReproError
-from .exp import SweepRunner
 from .exp.bench import SUITE_NAMES, run_cli
 from .fuzz.cli import add_fuzz_arguments, run_fuzz
 from .lint.cli import add_lint_arguments, run_lint
@@ -125,13 +101,6 @@ from .service.cli import (
 from .verify.model_check import check_matrix
 from .workloads import MicrobenchSpec, run_microbench, table2_demo, table3_demo
 
-_FIGURES = {
-    "5": figure5_wcs,
-    "6": figure6_bcs,
-    "7": figure7_tcs,
-    "8": figure8_miss_penalty,
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -139,34 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Heterogeneous cache-coherence reproduction (DATE 2004)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_runner_flags(p):
-        p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="simulation worker processes (default: 1, serial)")
-        p.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="on-disk result cache directory (default: off)")
-
-    p = sub.add_parser("headlines", help="paper-vs-measured headline numbers")
-    p.add_argument("--iterations", type=int, default=8)
-    p.add_argument("--lines", type=int, default=32)
-    add_runner_flags(p)
-
-    p = sub.add_parser("figure", help="regenerate one evaluation figure")
-    p.add_argument("number", choices=sorted(_FIGURES))
-    p.add_argument("--iterations", type=int, default=8)
-    add_runner_flags(p)
-
-    p = sub.add_parser(
-        "sweep", help="regenerate evaluation sweeps via the parallel runner"
-    )
-    p.add_argument("target", nargs="?", default="all",
-                   choices=("figures", "headlines", "ablations", "all"))
-    p.add_argument("--iterations", type=int, default=8)
-    p.add_argument("--quick", action="store_true",
-                   help="reduced sweep parameters (seconds instead of minutes)")
-    p.add_argument("--manifest", default=None, metavar="PATH",
-                   help="write the run manifest JSON here")
-    add_runner_flags(p)
 
     sub.add_parser("tables", help="run the Table 2/3 sequences")
 
@@ -217,6 +158,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="suites: reduced workload for smoke runs")
     p.add_argument("--repeats", type=int, default=3,
                    help="hotpath only: best-of-N timing repeats")
+    p.add_argument("--jobs", type=int, default=1, metavar="N",
+                   help="paper only: simulation worker processes "
+                        "(default: 1, serial)")
+    p.add_argument("--cache-dir", default=None, metavar="DIR",
+                   help="paper only: on-disk result cache, with the run "
+                        "manifest in DIR/manifest.json (default: off)")
     p.add_argument("--baseline", default=None, metavar="PATH",
                    help="suites: baseline JSON (default: the committed "
                         "BENCH_<suite>.json)")
@@ -228,60 +175,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="suites: write the result document here (the only "
                         "place a run writes)")
     return parser
-
-
-def _make_runner(args) -> SweepRunner:
-    return SweepRunner(jobs=args.jobs, cache_dir=args.cache_dir)
-
-
-def _cmd_headlines(args) -> int:
-    runner = _make_runner(args)
-    print(render_headlines(compute_headlines(args.iterations, args.lines, runner=runner)))
-    return 0
-
-
-def _cmd_figure(args) -> int:
-    figure = _FIGURES[args.number](iterations=args.iterations, runner=_make_runner(args))
-    print(figure.render())
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    runner = _make_runner(args)
-    if args.quick:
-        figure_kwargs = dict(line_counts=(2, 8), exec_times=(1,), iterations=3)
-        fig8_kwargs = dict(penalties=(13, 96), line_counts=(8,), iterations=3)
-        headline_kwargs = dict(iterations=3, lines=8)
-        ablation_kwargs = dict(iterations=3)
-    else:
-        figure_kwargs = dict(iterations=args.iterations)
-        fig8_kwargs = dict(iterations=args.iterations)
-        headline_kwargs = dict(iterations=args.iterations)
-        ablation_kwargs = dict(iterations=args.iterations)
-
-    if args.target in ("figures", "all"):
-        for make in (figure5_wcs, figure6_bcs, figure7_tcs):
-            print(make(runner=runner, **figure_kwargs).render())
-            print()
-        print(figure8_miss_penalty(runner=runner, **fig8_kwargs).render())
-        print()
-    if args.target in ("headlines", "all"):
-        print(render_headlines(compute_headlines(runner=runner, **headline_kwargs)))
-        print()
-    if args.target in ("ablations", "all"):
-        print(render_rows("Wrapper on/off (stale reads)", ablation_wrapper(runner=runner)))
-        print()
-        print(render_rows("Lock implementation (TCS)", ablation_locks(runner=runner, **ablation_kwargs)))
-        print()
-        print(render_rows("ARM interrupt entry cost (WCS)", ablation_interrupt(runner=runner, **ablation_kwargs)))
-        print()
-        print(render_rows("Bus arbitration (WCS)", ablation_arbitration(runner=runner, **ablation_kwargs)))
-        print()
-    if args.manifest:
-        runner.write_manifest(args.manifest)
-        print(f"manifest written to {args.manifest}")
-    print(runner.summary())
-    return 0
 
 
 def _cmd_tables(_args) -> int:
@@ -383,9 +276,6 @@ def _cmd_lint(args) -> int:
 
 
 _COMMANDS = {
-    "headlines": _cmd_headlines,
-    "figure": _cmd_figure,
-    "sweep": _cmd_sweep,
     "tables": _cmd_tables,
     "deadlock": _cmd_deadlock,
     "faults": _cmd_faults,

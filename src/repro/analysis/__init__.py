@@ -6,14 +6,6 @@ from .ablations import (
     ablation_interrupt,
     ablation_locks,
     ablation_wrapper,
-    render_rows,
-)
-from .export import (
-    figure_to_csv,
-    figure_to_json,
-    figure_to_markdown,
-    headlines_to_markdown,
-    write_figure_csv,
 )
 from .figures import (
     DEFAULT_EXEC_TIMES,
@@ -27,7 +19,7 @@ from .figures import (
     figure8_miss_penalty,
     scenario_figure,
 )
-from .headlines import Headline, compute_headlines, render_headlines
+from .headlines import Headline, compute_headlines
 from .utilization import BusUtilization, bus_utilization
 
 __all__ = [
@@ -43,18 +35,11 @@ __all__ = [
     "DEFAULT_PENALTIES",
     "Headline",
     "compute_headlines",
-    "render_headlines",
     "AblationRow",
     "ablation_wrapper",
     "ablation_locks",
     "ablation_interrupt",
     "ablation_arbitration",
-    "render_rows",
-    "figure_to_csv",
-    "figure_to_json",
-    "figure_to_markdown",
-    "headlines_to_markdown",
-    "write_figure_csv",
     "BusUtilization",
     "bus_utilization",
 ]

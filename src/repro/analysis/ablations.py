@@ -26,7 +26,6 @@ __all__ = [
     "ablation_locks",
     "ablation_interrupt",
     "ablation_arbitration",
-    "render_rows",
 ]
 
 
@@ -37,15 +36,6 @@ class AblationRow:
     label: str
     value: float
     unit: str
-
-    def render(self) -> str:
-        """Aligned one-line rendering."""
-        return f"{self.label:52s} {self.value:12.1f} {self.unit}"
-
-
-def render_rows(title: str, rows: Sequence[AblationRow]) -> str:
-    """A titled block of ablation rows."""
-    return "\n".join([title] + [row.render() for row in rows])
 
 
 def ablation_wrapper(

@@ -6,16 +6,18 @@ curves (execution-time ratios against the cache-disabled baseline for
 Figures 5-7, against the software solution for Figure 8).  ``render()``
 prints the same rows/series as the figures, as text.
 
-These sweeps are complete simulations; ``repro bench paper``
-(:mod:`repro.exp.paper`) calls them with the default (paper)
-parameters, tests use reduced ones.
+These sweeps are complete simulations.  ``repro bench paper``
+(:mod:`repro.exp.paper`), the one path that regenerates the paper,
+calls them with the default (paper) parameters and one shared runner;
+tests use reduced ones.
 
 Every sweep goes through :mod:`repro.exp`: the figure functions build a
 flat list of :class:`~repro.exp.MicrobenchJob` objects and hand it to a
 :class:`~repro.exp.SweepRunner` (pass one via ``runner=`` to fan jobs
-out over a worker pool and/or cache results on disk; the default is a
-fresh serial, uncached runner).  Results come back in submission order,
-so parallel and serial runs produce byte-identical figures.
+out over a worker pool, cache results on disk, or share one runner's
+results across figures; the default is a fresh serial, uncached
+runner).  Results come back in submission order, so parallel and
+serial runs produce identical figures.
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ Section 4 / the abstract quote five specific results:
 * BCS: ~76 % speedup over software at a 96-cycle miss penalty.
 
 :func:`compute_headlines` re-measures each and pairs it with the
-paper's value; EXPERIMENTS.md records the output.
+paper's value; ``repro bench paper`` records the measured values as its
+``headlines`` rows, and EXPERIMENTS.md quotes them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import List, Optional
 from ..exp import MicrobenchJob, SweepRunner, run_jobs
 from ..workloads.microbench import MicrobenchSpec
 
-__all__ = ["Headline", "compute_headlines", "render_headlines"]
+__all__ = ["Headline", "compute_headlines"]
 
 
 @dataclass
@@ -32,13 +33,6 @@ class Headline:
     paper_value: float
     measured: float
     unit: str = "%"
-
-    def render(self) -> str:
-        """Aligned one-line comparison."""
-        return (
-            f"{self.claim:70s} paper={self.paper_value:7.2f}{self.unit}  "
-            f"measured={self.measured:7.2f}{self.unit}"
-        )
 
 
 def _speedup(slow_ns: int, fast_ns: int) -> float:
@@ -124,10 +118,3 @@ def compute_headlines(
         Headline("BCS 32 lines, 96-cycle miss penalty: speedup vs software", 76.0, _speedup(software, prop))
     )
     return headlines
-
-
-def render_headlines(headlines: Optional[List[Headline]] = None) -> str:
-    """All headline comparisons, one per line."""
-    if headlines is None:
-        headlines = compute_headlines()
-    return "\n".join(h.render() for h in headlines)

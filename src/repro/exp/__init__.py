@@ -11,11 +11,11 @@ time, cache hits, worker utilisation).
 
 Because every job is an independent deterministic simulation and the
 runner returns results in submission order, parallel and serial runs
-produce byte-identical figure CSV/JSON output.
+produce identical figures.
 
-Entry points: ``python -m repro sweep`` (plus ``--jobs``/``--cache-dir``
-on the ``figure`` and ``headlines`` commands) and
-``examples/regenerate_results.py --jobs N``.
+Entry point: ``python -m repro bench paper [--jobs N] [--cache-dir
+DIR]`` runs the whole evaluation through one runner
+(:mod:`repro.exp.paper`), which simulates each distinct payload once.
 """
 
 from .cache import ResultCache, canonical_payload, content_key

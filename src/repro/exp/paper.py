@@ -15,13 +15,24 @@ on each ``--check``.
 The suite has one configuration.  Every invariant reads the rows at
 the paper's parameters, and a shrunk run would hold them vacuously, so
 ``--quick`` does not shrink it.
+
+Every experiment whose simulations are runner jobs (Figures 5-8, the
+headlines, the swept ablations) submits them to one
+:class:`~repro.exp.runner.SweepRunner`.  ``--jobs N`` fans them over N
+worker processes and ``--cache-dir DIR`` answers repeats from the
+on-disk result cache, writing the run manifest to
+``DIR/manifest.json``.  The runner simulates each distinct payload
+once, so the headline numbers are answered from the figures' jobs.
+Results come back in submission order: every setting writes the same
+rows.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from functools import partial
-from typing import Any, Callable, Dict, Iterator, List, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..analysis import (
     ablation_arbitration,
@@ -56,6 +67,7 @@ from ..workloads.tracegen import (
     strided_trace,
 )
 from .bench import EXACT, BenchSuite
+from .runner import SweepRunner
 
 __all__ = ["SUITE", "paper_invariants", "run_suite"]
 
@@ -72,34 +84,39 @@ BCS_96 = "BCS 32 lines, 96-cycle miss penalty: speedup vs software"
 WCS_ET4 = "WCS exec_time=4: proposed improvement vs cache-disabled"
 
 Rows = Iterator[Tuple[str, Any]]
+#: an experiment takes the suite's one runner and yields its rows
+Experiment = Callable[[SweepRunner], Rows]
 
 
 # ---------------------------------------------------------------------------
 # the experiments: each yields (point, simulated value)
 # ---------------------------------------------------------------------------
-def _scenario(figure: Callable) -> Rows:
+def _scenario(figure: Callable, runner: SweepRunner) -> Rows:
     """Figures 5-7: execution-time ratio vs cache-disabled per cell."""
     data = figure(
-        line_counts=LINE_COUNTS, exec_times=EXEC_TIMES, iterations=ITERATIONS
+        line_counts=LINE_COUNTS, exec_times=EXEC_TIMES, iterations=ITERATIONS,
+        runner=runner,
     )
     for series in data.series:
         for lines, ratio in series.points.items():
             yield f"{series.name} lines={lines}", ratio
 
 
-def _fig8() -> Rows:
+def _fig8(runner: SweepRunner) -> Rows:
     """Figure 8: proposed over software as the miss penalty grows."""
     data = figure8_miss_penalty(
         penalties=PENALTIES, line_counts=(1, 32),
-        scenarios=("wcs", "tcs", "bcs"), iterations=ITERATIONS,
+        scenarios=("wcs", "tcs", "bcs"), iterations=ITERATIONS, runner=runner,
     )
     for series in data.series:
         for penalty, ratio in series.points.items():
             yield f"{series.name} penalty={penalty}", ratio
 
 
-def _headlines() -> Rows:
-    for headline in compute_headlines(iterations=ITERATIONS, lines=32):
+def _headlines(runner: SweepRunner) -> Rows:
+    """Every headline job is also a Fig 5-8 job: the runner answers
+    them from the figures' results."""
+    for headline in compute_headlines(iterations=ITERATIONS, lines=32, runner=runner):
         yield headline.claim, headline.measured
 
 
@@ -121,9 +138,15 @@ def _sequence(demo: Callable) -> Rows:
             yield f"{mode} {letter} states", ",".join(step.states)
 
 
-def _ablation(ablation: Callable, **params) -> Rows:
-    for row in ablation(**params):
+def _ablation(ablation: Callable, runner: SweepRunner, **params) -> Rows:
+    for row in ablation(runner=runner, **params):
         yield row.label, row.value
+
+
+def _in_process(rows_of: Callable[[], Rows]) -> Experiment:
+    """An experiment that builds its own platforms: it submits no
+    runner jobs."""
+    return lambda runner: rows_of()
 
 
 def _cache_capacity() -> Rows:
@@ -239,15 +262,15 @@ def _sharing() -> Rows:
         yield f"{label} elapsed_ns", result.elapsed_ns
 
 
-EXPERIMENTS: Dict[str, Callable[[], Rows]] = {
-    "fig4": _fig4,
+EXPERIMENTS: Dict[str, Experiment] = {
+    "fig4": _in_process(_fig4),
     "fig5": partial(_scenario, figure5_wcs),
     "fig6": partial(_scenario, figure6_bcs),
     "fig7": partial(_scenario, figure7_tcs),
     "fig8": _fig8,
     "headlines": _headlines,
-    "table2": partial(_sequence, table2_demo),
-    "table3": partial(_sequence, table3_demo),
+    "table2": _in_process(partial(_sequence, table2_demo)),
+    "table3": _in_process(partial(_sequence, table3_demo)),
     "ablation-wrapper": partial(_ablation, ablation_wrapper),
     "ablation-interrupt": partial(
         _ablation, ablation_interrupt, entry_cycles=(1, 4, 8, 16), lines=8,
@@ -260,34 +283,42 @@ EXPERIMENTS: Dict[str, Callable[[], Rows]] = {
     "ablation-arbitration": partial(
         _ablation, ablation_arbitration, lines=8, iterations=6
     ),
-    "ablation-capacity": _cache_capacity,
-    "ext-dma": _dma,
-    "ext-update": _update_vs_invalidate,
-    "ext-scaling": _scaling,
-    "kernel-reduction": partial(_kernel, lambda: (
+    "ablation-capacity": _in_process(_cache_capacity),
+    "ext-dma": _in_process(_dma),
+    "ext-update": _in_process(_update_vs_invalidate),
+    "ext-scaling": _in_process(_scaling),
+    "kernel-reduction": _in_process(partial(_kernel, lambda: (
         (s, run_reduction(2, 128, s)) for s in KERNEL_SOLUTIONS
-    )),
-    "kernel-jacobi": partial(_kernel, lambda: (
+    ))),
+    "kernel-jacobi": _in_process(partial(_kernel, lambda: (
         (s, run_jacobi(2, 32, sweeps=6, solution=s)) for s in KERNEL_SOLUTIONS
-    )),
-    "kernel-token-ring": partial(_kernel, lambda: (
+    ))),
+    "kernel-token-ring": _in_process(partial(_kernel, lambda: (
         (f"{n} cores", run_token_ring(n, laps=4)) for n in (2, 3, 4)
-    )),
-    "trace-knee": _working_set,
-    "trace-stride": _strides,
-    "trace-sharing": _sharing,
+    ))),
+    "trace-knee": _in_process(_working_set),
+    "trace-stride": _in_process(_strides),
+    "trace-sharing": _in_process(_sharing),
 }
 
 
-def run_suite(quick: bool = False) -> Dict[str, Any]:
-    """Every experiment at the paper's parameters; returns the result
-    document.  ``quick`` is accepted and ignored (see the module
-    docstring)."""
+def run_suite(
+    quick: bool = False, jobs: int = 1, cache_dir: Optional[str] = None
+) -> Dict[str, Any]:
+    """Every experiment at the paper's parameters through one runner of
+    ``jobs`` workers; returns the result document.  With ``cache_dir``
+    the runner caches there and its manifest is written to
+    ``<cache_dir>/manifest.json``.  ``quick`` is accepted and ignored
+    (see the module docstring)."""
+    runner = SweepRunner(jobs=jobs, cache_dir=cache_dir)
     rows = [
         {"experiment": experiment, "point": point, "value": value}
         for experiment, rows_of in EXPERIMENTS.items()
-        for point, value in rows_of()
+        for point, value in rows_of(runner)
     ]
+    if cache_dir is not None:
+        runner.write_manifest(os.path.join(cache_dir, "manifest.json"))
+    print(f"paper runner: {runner.summary()}")
     return {
         "schema": 1,
         "suite": "paper",
@@ -501,5 +532,6 @@ SUITE = BenchSuite(
     key=("experiment", "point"),
     checks={"*": {"value": EXACT}},
     columns=("value",),
+    options=("jobs", "cache_dir"),
     invariants=paper_invariants,
 )

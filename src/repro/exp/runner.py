@@ -9,24 +9,26 @@ at them.
 
 Per sweep the runner:
 
-1. resolves cache hits (when a cache directory is configured),
-2. deduplicates byte-identical pending jobs so repeated specs simulate
-   once,
+1. answers every job whose payload it already finished — earlier in
+   this sweep or in any earlier :meth:`~SweepRunner.run` call — from
+   that result, so one payload simulates at most once per runner,
+2. resolves cache hits (when a cache directory is configured),
 3. runs the remaining misses — serially, or over a
    :class:`~repro.exp.procpool.ResilientPool` when ``jobs > 1`` and
-   more than one miss is pending (per-job timeouts, crashed/hung
-   workers killed and their jobs requeued with bounded backoff),
+   more than one miss is pending (a crashed worker's job is requeued
+   with bounded backoff),
 4. stores each fresh result back into the cache *as it completes* —
    an interrupted sweep keeps everything already simulated, and a
    rerun re-executes only the unfinished jobs — and
 5. appends one :class:`JobRecord` per job (wall time, cache hit,
    worker pid, attempts) to the run manifest.
 
-A runner accumulates records across :meth:`run` calls, so one instance
-threaded through a whole regeneration (figures + headlines) yields a
-single manifest covering everything.  The manifest is SIGINT-safe: a
-``KeyboardInterrupt`` mid-sweep still commits the records of every
-completed job before propagating.
+A runner accumulates records and results across :meth:`run` calls, so
+one instance threaded through a whole regeneration (``repro bench
+paper``: figures, headlines, ablations) simulates each distinct
+payload once and yields a single manifest covering everything.  The
+manifest is SIGINT-safe: a ``KeyboardInterrupt`` mid-sweep still
+commits the records of every completed job before propagating.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import os
 import tempfile
 import time
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import SimulationError
 from .cache import ResultCache, canonical_payload
@@ -86,20 +88,17 @@ class SweepRunner:
         self,
         jobs: int = 1,
         cache_dir: Optional[str] = None,
-        cache: Optional[ResultCache] = None,
-        timeout_s: Optional[float] = None,
         max_attempts: int = 2,
     ):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.workers = int(jobs)
-        if cache is None and cache_dir is not None:
-            cache = ResultCache(cache_dir)
-        self.cache = cache
-        #: per-job deadline when running over the worker pool (None = off)
-        self.timeout_s = timeout_s
-        #: attempts per job before a hang/crash becomes an error
+        self.cache = ResultCache(cache_dir) if cache_dir is not None else None
+        #: attempts per job before a crashed worker becomes an error
         self.max_attempts = max_attempts
+        #: canonical payload -> result of every job this runner finished;
+        #: a repeat gets the same dict, so callers never mutate results
+        self._done: Dict[str, Dict[str, Any]] = {}
         self.records: List[JobRecord] = []
         self.sweeps = 0
         self.total_wall_s = 0.0
@@ -114,31 +113,32 @@ class SweepRunner:
 
         pending: List[Tuple[int, SimJob]] = []
         keys: Dict[int, Optional[str]] = {}
-        primary_for: Dict[str, int] = {}
-        duplicates: List[Tuple[int, int]] = []  # (index, primary index)
+        payloads: Dict[int, str] = {}
+        pending_payloads: Set[str] = set()
+        duplicates: List[int] = []  # answered from ``_done`` once it has them
         for index, job in enumerate(jobs):
             payload = job.payload()
+            payloads[index] = canonical = canonical_payload(payload)
             key = self.cache.key_for(payload) if self.cache is not None else None
             keys[index] = key
+            if canonical in self._done or canonical in pending_payloads:
+                duplicates.append(index)
+                continue
             cached = self.cache.get(key) if self.cache is not None else None
             if cached is not None:
-                results[index] = cached
+                results[index] = self._done[canonical] = cached
                 records[index] = JobRecord(
                     index, job.label, key, True, False, 0.0, None
                 )
                 continue
-            dedupe_key = key if key is not None else canonical_payload(payload)
-            if dedupe_key in primary_for:
-                duplicates.append((index, primary_for[dedupe_key]))
-            else:
-                primary_for[dedupe_key] = index
-                pending.append((index, job))
+            pending_payloads.add(canonical)
+            pending.append((index, job))
 
         try:
             if pending:
-                self._run_pending(pending, jobs, keys, results, records)
-            for index, primary in duplicates:
-                results[index] = results[primary]
+                self._run_pending(pending, jobs, keys, payloads, results, records)
+            for index in duplicates:
+                results[index] = self._done[payloads[index]]
                 records[index] = JobRecord(
                     index, jobs[index].label, keys[index], False, True, 0.0, None
                 )
@@ -155,7 +155,7 @@ class SweepRunner:
             self.total_wall_s += time.perf_counter() - start
         return results  # type: ignore[return-value]
 
-    def _run_pending(self, pending, jobs, keys, results, records) -> None:
+    def _run_pending(self, pending, jobs, keys, payloads, results, records) -> None:
         """Execute the cache misses, recording each as it completes.
 
         Fresh results are cached *immediately* (not after the batch), so
@@ -163,7 +163,7 @@ class SweepRunner:
         """
 
         def complete(index, result, wall_s, worker, attempts=1):
-            results[index] = result
+            results[index] = self._done[payloads[index]] = result
             records[index] = JobRecord(
                 index, jobs[index].label, keys[index], False, False,
                 wall_s, worker, attempts,
@@ -179,7 +179,6 @@ class SweepRunner:
         pool = ResilientPool(
             _pool_execute,
             workers=min(self.workers, len(pending)),
-            timeout_s=self.timeout_s,
             max_attempts=self.max_attempts,
         )
         for outcome in pool.map_unordered(pending):

@@ -11,8 +11,6 @@ from repro.analysis import (
     ablation_wrapper,
     compute_headlines,
     figure8_miss_penalty,
-    render_headlines,
-    render_rows,
     scenario_figure,
 )
 
@@ -88,12 +86,6 @@ class TestHeadlines:
         for headline in headlines:
             assert headline.paper_value != 0
 
-    def test_render(self):
-        headlines = compute_headlines(iterations=2, lines=4)
-        text = render_headlines(headlines)
-        assert "paper=" in text and "measured=" in text
-        assert len(text.splitlines()) == 5
-
 
 class TestAblations:
     def test_wrapper_ablation_finds_staleness(self):
@@ -114,8 +106,3 @@ class TestAblations:
     def test_arbitration_ablation(self):
         rows = ablation_arbitration(lines=2, iterations=2)
         assert len(rows) == 2
-
-    def test_render_rows(self):
-        rows = ablation_locks(kinds=("swap",), lines=1, iterations=1)
-        text = render_rows("locks", rows)
-        assert text.startswith("locks")

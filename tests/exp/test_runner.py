@@ -75,15 +75,28 @@ class TestSweepRunner:
         assert warm.cache_hits == len(jobs)
         assert warm_results == cold_results
 
+    def test_one_runner_simulates_a_payload_once(self):
+        jobs = small_jobs()
+        runner = SweepRunner()
+        first = runner.run(jobs)
+        assert runner.executed == len(jobs)
+        second = runner.run(jobs)
+        assert runner.executed == len(jobs)  # the second call executes 0
+        assert second == first
+        assert runner.manifest()["deduplicated"] == len(jobs)
+
     def test_manifest_accumulates_across_sweeps(self, tmp_path):
         jobs = small_jobs()
         runner = SweepRunner(cache_dir=str(tmp_path))
         runner.run(jobs[:2])
-        runner.run(jobs)  # first two hit, third misses
+        # The first two were finished by this runner: answered from its
+        # own results, not re-read from the cache; the third misses.
+        runner.run(jobs)
         manifest = runner.manifest()
         assert manifest["sweeps"] == 2
         assert manifest["n_jobs"] == 5
-        assert manifest["cache_hits"] == 2
+        assert manifest["deduplicated"] == 2
+        assert manifest["cache_hits"] == 0
         assert manifest["executed"] == 3
         assert [entry["index"] for entry in manifest["jobs"]] == list(range(5))
         assert all(entry["label"] for entry in manifest["jobs"])

@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import json
+
 import pytest
 
 from repro.__main__ import main
@@ -86,67 +88,49 @@ class TestBench:
         assert exc.value.code == 2
 
 
-class TestFigure:
-    def test_small_figure(self, capsys):
-        assert main(["figure", "6", "--iterations", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "Figure 6" in out
-        assert "proposed et=1" in out
+class TestBenchPaper:
+    def test_runner_flags_reach_the_runner(self, capsys, tmp_path, monkeypatch):
+        from repro.analysis import compute_headlines, figure5_wcs
+        from repro.exp import paper
 
-    def test_invalid_figure_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["figure", "9"])
+        def fig5(runner):
+            data = figure5_wcs(
+                line_counts=(1, 2), exec_times=(1,), iterations=2, runner=runner
+            )
+            for series in data.series:
+                for lines, ratio in series.points.items():
+                    yield f"{series.name} lines={lines}", ratio
 
+        def headlines(runner):
+            for headline in compute_headlines(iterations=2, lines=2, runner=runner):
+                yield headline.claim, headline.measured
 
-class TestHeadlines:
-    def test_prints_five_rows(self, capsys):
-        assert main(["headlines", "--iterations", "2", "--lines", "4"]) == 0
-        out = capsys.readouterr().out
-        assert len(out.strip().splitlines()) == 5
-        assert "paper=" in out
+        monkeypatch.setattr(
+            paper, "EXPERIMENTS", {"fig5": fig5, "headlines": headlines}
+        )
+        cache = tmp_path / "cache"
+        manifest = cache / "manifest.json"
 
+        def run(output):
+            argv = ["bench", "paper", "--jobs", "2", "--cache-dir", str(cache),
+                    "--output", str(output)]
+            assert main(argv) == 0
+            assert "paper runner:" in capsys.readouterr().out
+            return json.loads(manifest.read_text()), json.loads(output.read_text())
 
-class TestSweep:
-    def test_quick_headlines_sweep_with_cache(self, capsys, tmp_path):
-        cache = str(tmp_path / "cache")
-        manifest = str(tmp_path / "manifest.json")
-        code = main(["sweep", "headlines", "--quick", "--jobs", "2",
-                     "--cache-dir", cache, "--manifest", manifest])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "paper=" in out
-        assert "simulated" in out
+        cold, cold_doc = run(tmp_path / "cold.json")
+        assert cold["workers"] == 2
+        assert cold["cache_dir"] == str(cache)
+        # Five headline jobs simulate nothing: the four WCS margin cells
+        # at et=1, lines 1 and 2, are Fig 5 jobs, and the et=4 proposed
+        # margin cell is also the exec_time=4 headline's job.
+        assert cold["deduplicated"] == 5
+        assert cold["executed"] == cold["n_jobs"] - 5
 
-        import json
-
-        with open(manifest) as handle:
-            data = json.load(handle)
-        assert data["workers"] == 2
-        assert data["executed"] > 0
-        assert data["cache_hits"] == 0
-
-        # Warm rerun: everything comes from the cache.
-        assert main(["sweep", "headlines", "--quick", "--jobs", "2",
-                     "--cache-dir", cache, "--manifest", manifest]) == 0
-        warm_out = capsys.readouterr().out
-        with open(manifest) as handle:
-            warm = json.load(handle)
+        warm, warm_doc = run(tmp_path / "warm.json")
         assert warm["executed"] == 0
-        assert warm["cache_hits"] == warm["n_jobs"]
-        # Identical rendered numbers either way.
-        assert warm_out.splitlines()[:5] == out.splitlines()[:5]
-
-    def test_figure_accepts_runner_flags(self, capsys, tmp_path):
-        code = main(["figure", "5", "--iterations", "2", "--jobs", "2",
-                     "--cache-dir", str(tmp_path)])
-        assert code == 0
-        assert "Figure 5" in capsys.readouterr().out
-
-    def test_ablations_target(self, capsys):
-        assert main(["sweep", "ablations", "--quick", "--jobs", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "stale reads" in out
-        assert "arbitration" in out
+        assert warm["cache_hits"] == cold["executed"]
+        assert warm_doc["rows"] == cold_doc["rows"]
 
 
 class TestVerify:
@@ -165,8 +149,6 @@ class TestLint:
         assert "clean" in capsys.readouterr().out
 
     def test_json_format_parses(self, capsys):
-        import json
-
         assert main(["lint", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["tool"] == "repro-lint"

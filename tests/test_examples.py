@@ -1,8 +1,6 @@
 """Every example script must run to completion (regression smoke tests).
 
-Examples are executed in-process via runpy so their asserts fire here;
-the slow full-sweep script (`regenerate_results.py`) runs in --quick
-mode into a temp directory.
+Examples are executed in-process via runpy so their asserts fire here.
 """
 
 import os
@@ -40,11 +38,3 @@ def test_example_runs(script, capsys):
     run_example(script)
     out = capsys.readouterr().out
     assert out.strip()  # every example narrates its result
-
-
-def test_regenerate_results_quick(tmp_path, capsys):
-    run_example("regenerate_results.py", argv=[str(tmp_path), "--quick"])
-    produced = {p.name for p in tmp_path.iterdir()}
-    assert "figure6_bcs.csv" in produced
-    assert "headlines.md" in produced
-    assert "report.md" in produced
