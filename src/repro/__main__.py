@@ -72,7 +72,7 @@ Commands
     failing case with delta debugging.  See ``docs/robustness.md``.
 ``lint``
     Run the static-analysis suite (:mod:`repro.lint`) over the package
-    source: AST hazard rules plus the protocol-table validators.  See
+    source: AST hazard, import-contract and concurrency rules.  See
     ``docs/static-analysis.md``.
 
 Exit codes are uniform across subcommands: 0 success, 1 failure of the

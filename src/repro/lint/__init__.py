@@ -17,7 +17,6 @@ from .core import (
     register,
     run_rules,
 )
-from .tables import validate_protocol, validate_reduction
 
 __all__ = [
     "RULES",
@@ -30,6 +29,4 @@ __all__ = [
     "load_project",
     "register",
     "run_rules",
-    "validate_protocol",
-    "validate_reduction",
 ]

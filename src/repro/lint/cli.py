@@ -5,28 +5,18 @@ Exit codes (stable, relied on by CI and shell pipelines):
 ====  ========================================================
 0     clean — no error-severity findings (warnings may remain)
 1     at least one error-severity finding survived suppressions
-      and the baseline filter
-2     usage / configuration problem (unknown rule, unreadable
-      baseline, syntax error in a linted file)
+2     usage / configuration problem (unknown rule, missing or
+      unreadable path, syntax error in a linted file)
 ====  ========================================================
 """
 
 from __future__ import annotations
 
-import glob
-import os
-import subprocess
 import sys
-from typing import List, Optional, Sequence, TextIO
+from typing import Optional, TextIO
 
 from .core import RULES, Severity, load_project, run_rules
-from .report import (
-    filter_baseline,
-    load_baseline,
-    render_json,
-    render_sarif,
-    render_text,
-)
+from .report import render_json, render_text
 
 __all__ = ["run_lint", "add_lint_arguments"]
 
@@ -40,26 +30,7 @@ def add_lint_arguments(parser) -> None:
     parser.add_argument(
         "paths",
         nargs="*",
-        help=(
-            "files, directories or globs to lint "
-            "(default: the repro package)"
-        ),
-    )
-    parser.add_argument(
-        "--paths",
-        dest="extra_paths",
-        nargs="+",
-        metavar="GLOB",
-        default=[],
-        help="additional files/directories/globs to lint",
-    )
-    parser.add_argument(
-        "--changed-only",
-        action="store_true",
-        help=(
-            "lint only Python files changed relative to HEAD "
-            "(uncommitted edits plus untracked files, per git)"
-        ),
+        help="files or directories to lint (default: the repro package)",
     )
     parser.add_argument(
         "--rules",
@@ -69,73 +40,14 @@ def add_lint_arguments(parser) -> None:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
-        help=(
-            "report format (json is also the baseline format; "
-            "sarif is SARIF 2.1.0 for code-scanning UIs)"
-        ),
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="JSON report of accepted findings; only new findings fail",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="write the current findings to FILE as a baseline and exit 0",
+        help="report format",
     )
     parser.add_argument(
         "--list-rules",
         action="store_true",
         help="list registered rules and exit",
-    )
-
-
-def _expand_paths(raw_paths: Sequence[str]) -> List[str]:
-    """Resolve each command-line entry, treating non-paths as globs.
-
-    A literal existing file or directory passes through unchanged; any
-    other entry is expanded with :func:`glob.glob` (``**`` recurses).
-    An entry matching nothing raises ``ValueError`` — a typo'd glob
-    silently linting zero files would read as a clean run.
-    """
-    expanded: List[str] = []
-    for raw in raw_paths:
-        if os.path.exists(raw):
-            expanded.append(raw)
-            continue
-        matches = sorted(glob.glob(raw, recursive=True))
-        if not matches:
-            raise ValueError(f"path or glob matched nothing: {raw!r}")
-        expanded.extend(matches)
-    return expanded
-
-
-def _changed_python_files() -> List[str]:
-    """Python files changed vs HEAD plus untracked ones, per git.
-
-    Raises ``RuntimeError`` when git is unavailable or the working
-    directory is not a repository.
-    """
-    files: List[str] = []
-    for cmd in (
-        ["git", "diff", "--name-only", "HEAD"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ):
-        try:
-            proc = subprocess.run(
-                cmd, capture_output=True, text=True, check=True
-            )
-        except (OSError, subprocess.CalledProcessError) as exc:
-            detail = getattr(exc, "stderr", "") or str(exc)
-            raise RuntimeError(
-                f"{' '.join(cmd)} failed: {detail.strip()}"
-            ) from exc
-        files.extend(line for line in proc.stdout.splitlines() if line)
-    return sorted(
-        {f for f in files if f.endswith(".py") and os.path.exists(f)}
     )
 
 
@@ -154,31 +66,8 @@ def run_lint(args, stdout: Optional[TextIO] = None, stderr: Optional[TextIO] = N
             out.write(f"{rule_id:<{width}}  {rule.description}\n")
         return EXIT_CLEAN
 
-    raw_paths = list(args.paths) + list(getattr(args, "extra_paths", []) or [])
-    if getattr(args, "changed_only", False):
-        if raw_paths:
-            err.write(
-                "repro lint: --changed-only and explicit paths are "
-                "mutually exclusive\n"
-            )
-            return EXIT_USAGE
-        try:
-            raw_paths = _changed_python_files()
-        except RuntimeError as exc:
-            err.write(f"repro lint: --changed-only needs git: {exc}\n")
-            return EXIT_USAGE
-        if not raw_paths:
-            out.write("repro lint: clean (no changed Python files)\n")
-            return EXIT_CLEAN
-    else:
-        try:
-            raw_paths = _expand_paths(raw_paths)
-        except ValueError as exc:
-            err.write(f"repro lint: {exc}\n")
-            return EXIT_USAGE
-
     try:
-        project = load_project(raw_paths or None)
+        project = load_project(args.paths or None)
     except (OSError, SyntaxError) as exc:
         err.write(f"repro lint: cannot load sources: {exc}\n")
         return EXIT_USAGE
@@ -189,32 +78,10 @@ def run_lint(args, stdout: Optional[TextIO] = None, stderr: Optional[TextIO] = N
         err.write(f"repro lint: {exc.args[0]}\n")
         return EXIT_USAGE
 
-    if args.write_baseline:
-        with open(args.write_baseline, "w") as handle:
-            render_json(findings, handle)
-        out.write(
-            f"repro lint: wrote baseline with {len(findings)} finding(s) "
-            f"to {args.write_baseline}\n"
-        )
-        return EXIT_CLEAN
-
-    baselined = 0
-    if args.baseline:
-        try:
-            accepted = load_baseline(args.baseline)
-        except (OSError, ValueError, KeyError) as exc:
-            err.write(f"repro lint: bad baseline: {exc}\n")
-            return EXIT_USAGE
-        findings, baselined = filter_baseline(findings, accepted)
-
     if args.format == "json":
         render_json(findings, out)
-    elif args.format == "sarif":
-        render_sarif(findings, out)
     else:
         render_text(findings, out)
-        if baselined:
-            out.write(f"({baselined} baselined finding(s) not shown)\n")
 
     errors = sum(1 for f in findings if f.severity is Severity.ERROR)
     return EXIT_FINDINGS if errors else EXIT_CLEAN

@@ -5,15 +5,15 @@ runtime coherence checker, the exhaustive model checker, the fault
 matrix) with checks that need no simulation at all: AST passes over the
 package source catch simulator hazards (nondeterministic iteration,
 unslotted hot-path classes, unguarded trace emits, bad process yields,
-fault proxies that silently bypass injection), and table validators
-import the protocol FSMs and prove their transition tables sound.
+fault proxies that silently bypass injection, import-direction
+contracts, and the concurrency discipline of simulation processes).
 
 The pieces:
 
 * :class:`Finding` — one diagnostic, anchored to a file and line.
 * :class:`Rule` — a registered check.  AST rules subclass
   :class:`AstRule` and inspect one parsed module at a time; whole-
-  project rules (the table validators, the proxy-coverage check)
+  project rules (the proxy-coverage check, the concurrency rules)
   subclass :class:`Rule` directly and see the :class:`Project`.
 * :class:`Project` / :class:`ModuleSource` — the parsed source tree,
   with per-module suppression tables and lazily built AST parent links.
@@ -76,11 +76,6 @@ class Finding:
     line: int
     message: str
     severity: Severity = Severity.ERROR
-
-    @property
-    def key(self) -> Tuple[str, str, str]:
-        """Line-number-insensitive identity, used by baseline matching."""
-        return (self.rule, self.path, self.message)
 
     def render(self) -> str:
         """``path:line: [severity] rule: message`` — one line per finding."""
@@ -249,9 +244,9 @@ def load_project(paths: Optional[Sequence[str]] = None) -> Project:
     used, located relative to this file so the lint run works from any
     working directory.  Files under the package root always get the
     same package-relative label regardless of how they were named on
-    the command line — baselines and waiver paths stay stable across
-    ``repro lint``, ``repro lint src/repro/bus`` and ``--changed-only``
-    runs.
+    the command line, so reports read the same for ``repro lint`` and
+    ``repro lint src/repro/bus``.  A missing or unreadable path raises
+    ``OSError``.
     """
     package_root = Path(__file__).resolve().parents[1]  # .../src/repro
     if paths:

@@ -1,49 +1,24 @@
-"""Reporters and the baseline mechanism for ``repro lint``.
+"""Reporters for ``repro lint``.
 
-Three output formats:
+Two output formats:
 
 * **text** — one ``path:line: [severity] rule: message`` per finding,
   grouped by file, plus a summary line.  This is the human format.
-* **json** — a stable machine-readable document (schema below) that CI
-  uploads as an artifact and the baseline machinery consumes.
-* **sarif** — SARIF 2.1.0, the interchange format code-scanning UIs
-  ingest (GitHub annotates PR diffs from it).  SARIF is *not* the
-  baseline format — its result objects carry no stable identity across
-  runs; the JSON format remains canonical for baselines.
-
-A *baseline* is a JSON report from a previous run.  With
-``--baseline FILE`` only findings absent from that file fail the run —
-the way large codebases ratchet a new rule in without a flag day.
-Matching is line-number-insensitive (rule, path, message) so pure code
-motion doesn't resurrect waived findings.
+* **json** — a stable machine-readable document that CI uploads as an
+  artifact; its ``schema`` field is bumped on incompatible changes.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Sequence, Set, TextIO, Tuple
+from typing import Sequence, TextIO
 
 from .core import Finding, Severity
 
-__all__ = [
-    "render_text",
-    "render_json",
-    "render_sarif",
-    "load_baseline",
-    "filter_baseline",
-    "JSON_SCHEMA_VERSION",
-    "SARIF_VERSION",
-]
+__all__ = ["render_text", "render_json", "JSON_SCHEMA_VERSION"]
 
 #: bumped whenever the JSON document shape changes incompatibly
 JSON_SCHEMA_VERSION = 1
-
-#: the SARIF spec version ``render_sarif`` emits
-SARIF_VERSION = "2.1.0"
-_SARIF_SCHEMA_URI = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
 
 
 def render_text(findings: Sequence[Finding], stream: TextIO) -> None:
@@ -67,7 +42,7 @@ def render_text(findings: Sequence[Finding], stream: TextIO) -> None:
 
 
 def render_json(findings: Sequence[Finding], stream: TextIO) -> None:
-    """Write the machine-readable report (also the baseline format)."""
+    """Write the machine-readable report."""
     document = {
         "schema": JSON_SCHEMA_VERSION,
         "tool": "repro-lint",
@@ -86,106 +61,3 @@ def render_json(findings: Sequence[Finding], stream: TextIO) -> None:
     }
     json.dump(document, stream, indent=2, sort_keys=True)
     stream.write("\n")
-
-
-def render_sarif(findings: Sequence[Finding], stream: TextIO) -> None:
-    """Write a SARIF 2.1.0 log with one run covering all findings.
-
-    The rule metadata comes from the live registry so code-scanning
-    UIs can show each rule's description; findings from rules not in
-    the registry (the synthetic ``suppression`` id) still get a rules
-    entry, built from the findings themselves.
-    """
-    from .core import RULES, SUPPRESSION_RULE_ID
-
-    descriptions = {rid: rule.description for rid, rule in RULES.items()}
-    descriptions.setdefault(
-        SUPPRESSION_RULE_ID, "hygiene of the lint-ok waiver comments themselves"
-    )
-    rule_ids = sorted(set(descriptions) | {f.rule for f in findings})
-    rule_index = {rid: i for i, rid in enumerate(rule_ids)}
-    rules = [
-        {
-            "id": rid,
-            "shortDescription": {"text": descriptions.get(rid, rid)},
-        }
-        for rid in rule_ids
-    ]
-    results = [
-        {
-            "ruleId": f.rule,
-            "ruleIndex": rule_index[f.rule],
-            "level": "error" if f.severity is Severity.ERROR else "warning",
-            "message": {"text": f.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": f.path,
-                            "uriBaseId": "SRCROOT",
-                        },
-                        "region": {"startLine": max(f.line, 1)},
-                    }
-                }
-            ],
-        }
-        for f in findings
-    ]
-    document = {
-        "$schema": _SARIF_SCHEMA_URI,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-lint",
-                        "rules": rules,
-                    }
-                },
-                "columnKind": "utf16CodeUnits",
-                "results": results,
-            }
-        ],
-    }
-    json.dump(document, stream, indent=2, sort_keys=True)
-    stream.write("\n")
-
-
-def load_baseline(path: str) -> Set[Tuple[str, str, str]]:
-    """The (rule, path, message) keys recorded in a JSON report file.
-
-    Raises ``ValueError`` on documents this version cannot read, so a
-    stale or hand-mangled baseline fails loudly instead of silently
-    accepting every finding.
-    """
-    with open(path) as handle:
-        document = json.load(handle)
-    if not isinstance(document, dict) or "findings" not in document:
-        raise ValueError(f"{path}: not a repro-lint JSON report")
-    schema = document.get("schema")
-    if schema != JSON_SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: baseline schema {schema!r} unsupported "
-            f"(expected {JSON_SCHEMA_VERSION})"
-        )
-    keys: Set[Tuple[str, str, str]] = set()
-    for entry in document["findings"]:
-        keys.add((entry["rule"], entry["path"], entry["message"]))
-    return keys
-
-
-def filter_baseline(
-    findings: Sequence[Finding],
-    baseline: Set[Tuple[str, str, str]],
-) -> Tuple[List[Finding], int]:
-    """Split findings into (new, n_baselined)."""
-    fresh = [f for f in findings if f.key not in baseline]
-    return fresh, len(findings) - len(fresh)
-
-
-def severity_counts(findings: Sequence[Finding]) -> Dict[str, int]:
-    """``{"error": n, "warning": m}`` over ``findings``."""
-    counts = {"error": 0, "warning": 0}
-    for finding in findings:
-        counts[finding.severity.value] += 1
-    return counts

@@ -13,5 +13,4 @@ from . import contracts  # noqa: F401
 from . import fault_proxy  # noqa: F401
 from . import process_yield  # noqa: F401
 from . import slots  # noqa: F401
-from . import tables  # noqa: F401
 from . import trace_guard  # noqa: F401

@@ -63,16 +63,30 @@ class TestFsm:
         assert outcome.drain and outcome.next_state is I
 
 
+def _outsider_pairs():
+    # Dragon (update-based) and SI (write-through) sit outside the
+    # wrapper algebra: mixing either with an invalidation peer is refused
+    # in both operand orders.  Dragon-first cases keep the bare peer name
+    # as their id, so those ids stay stable.
+    for outsider in ("DRAGON", "SI"):
+        for other in ("MEI", "MSI", "MESI", "MOESI", None):
+            for pair in ([outsider, other], [other, outsider]):
+                ident = (
+                    str(other) if pair[0] == "DRAGON" else "-".join(map(str, pair))
+                )
+                yield pytest.param(pair, id=ident)
+
+
 class TestReductionBoundary:
     def test_homogeneous_dragon_allowed(self):
         result = reduce_protocols(["DRAGON", "DRAGON"])
         assert result.system_protocol == "DRAGON"
         assert all(policy.is_identity for policy in result.policies)
 
-    @pytest.mark.parametrize("other", ["MEI", "MSI", "MESI", "MOESI", None])
-    def test_mixing_with_invalidation_rejected(self, other):
+    @pytest.mark.parametrize("pair", list(_outsider_pairs()))
+    def test_mixing_with_invalidation_rejected(self, pair):
         with pytest.raises(IntegrationError):
-            reduce_protocols(["DRAGON", other])
+            reduce_protocols(pair)
 
 
 def dragon_platform():

@@ -253,6 +253,20 @@ def test_property_drain_only_from_dirty(protocol, op):
             assert state.is_dirty
 
 
+@given(
+    protocol=st.sampled_from([make_protocol(name) for name in sorted(PROTOCOLS)]),
+    op=op_strategy,
+)
+def test_property_apply_update_only_on_update(protocol, op):
+    # Over every shipped protocol, Dragon included: only an UPDATE snoop
+    # may patch the broadcast word into the local copy.
+    for state in protocol.states:
+        if state is I:
+            continue
+        if protocol.snoop(state, op).apply_update:
+            assert op is SnoopOp.UPDATE
+
+
 @given(protocol=protocol_strategy, op=op_strategy)
 def test_property_supply_only_from_dirty_and_when_supported(protocol, op):
     for state in protocol.states:

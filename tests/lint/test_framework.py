@@ -1,8 +1,9 @@
-"""Framework behaviour: suppressions, reporters, baselines, selection."""
+"""Framework behaviour: suppressions, reporters, selection, labels."""
 
 import io
 import json
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -14,13 +15,7 @@ from repro.lint.core import (
     load_project,
     run_rules,
 )
-from repro.lint.report import (
-    filter_baseline,
-    load_baseline,
-    render_json,
-    render_sarif,
-    render_text,
-)
+from repro.lint.report import render_json, render_text
 
 # A hot-path module with one obvious slots violation, reused throughout.
 VIOLATION = "class Hot:\n    def __init__(self):\n        self.x = 1\n"
@@ -135,66 +130,6 @@ class TestReporters:
             "message": "class A has no __slots__",
         }
 
-    def test_sarif_report(self):
-        out = io.StringIO()
-        render_sarif(self._findings(), out)
-        doc = json.loads(out.getvalue())
-        assert doc["version"] == "2.1.0"
-        (run,) = doc["runs"]
-        driver = run["tool"]["driver"]
-        assert driver["name"] == "repro-lint"
-        rule_ids = [rule["id"] for rule in driver["rules"]]
-        assert "slots" in rule_ids and "suppression" in rule_ids
-        first, second = run["results"]
-        assert first["ruleId"] == "slots"
-        assert first["level"] == "error"
-        assert rule_ids[first["ruleIndex"]] == "slots"
-        location = first["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"] == "a.py"
-        assert location["region"]["startLine"] == 3
-        assert second["level"] == "warning"
-
-    def test_sarif_rule_index_covers_unregistered_rules(self):
-        out = io.StringIO()
-        render_sarif(
-            [Finding("ad-hoc", "a.py", 1, "one-off")], out
-        )
-        doc = json.loads(out.getvalue())
-        (run,) = doc["runs"]
-        rule_ids = [rule["id"] for rule in run["tool"]["driver"]["rules"]]
-        (result,) = run["results"]
-        assert rule_ids[result["ruleIndex"]] == "ad-hoc"
-
-
-class TestBaseline:
-    def test_round_trip_filters_known_findings(self, tmp_path):
-        findings = [
-            Finding("slots", "a.py", 3, "class A has no __slots__"),
-            Finding("slots", "a.py", 9, "class B has no __slots__"),
-        ]
-        baseline_file = tmp_path / "baseline.json"
-        with open(baseline_file, "w") as handle:
-            render_json(findings[:1], handle)
-        accepted = load_baseline(str(baseline_file))
-        fresh, known = filter_baseline(findings, accepted)
-        assert known == 1
-        assert [f.message for f in fresh] == ["class B has no __slots__"]
-
-    def test_line_drift_does_not_resurrect(self, tmp_path):
-        original = Finding("slots", "a.py", 3, "class A has no __slots__")
-        moved = Finding("slots", "a.py", 40, "class A has no __slots__")
-        baseline_file = tmp_path / "baseline.json"
-        with open(baseline_file, "w") as handle:
-            render_json([original], handle)
-        fresh, known = filter_baseline([moved], load_baseline(str(baseline_file)))
-        assert fresh == [] and known == 1
-
-    def test_malformed_baseline_rejected(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"something": "else"}')
-        with pytest.raises(ValueError):
-            load_baseline(str(bad))
-
 
 class TestSelection:
     def test_unknown_rule_rejected(self, make_project):
@@ -204,15 +139,18 @@ class TestSelection:
 
     def test_registry_contains_the_documented_rules(self):
         run_rules(load_project(["tests/lint/conftest.py"]))  # force registration
-        for expected in (
+        assert set(RULES) == {
             "determinism",
             "slots",
             "trace-guard",
             "process-yield",
             "fault-proxy",
-            "protocol-tables",
-        ):
-            assert expected in RULES
+            "engine-contract",
+            "fabric-contract",
+            "resource-release",
+            "hold-across-yield",
+            "wait-cycle",
+        }
 
     def test_findings_sorted_and_stable(self, make_project):
         src = textwrap.dedent(
@@ -227,3 +165,19 @@ class TestSelection:
         project = make_project({"sim/kernel.py": src})
         findings = run_rules(project, ["slots"])
         assert [f.line for f in findings] == sorted(f.line for f in findings)
+
+
+class TestLabelStability:
+    def test_package_files_keep_package_relative_labels(self):
+        # Naming a package file directly must not change its label:
+        # waivers key on the package-relative path.
+        import repro
+
+        kernel = Path(repro.__file__).parent / "sim" / "kernel.py"
+        project = load_project([str(kernel)])
+        assert [m.path for m in project.modules] == ["sim/kernel.py"]
+
+    def test_outside_files_fall_back_to_root_relative(self, tmp_path):
+        (tmp_path / "mod.py").write_text("items = (1, 2, 3)\n")
+        project = load_project([str(tmp_path)])
+        assert [m.path for m in project.modules] == ["mod.py"]
