@@ -105,7 +105,7 @@ class Snooper:
 
 
 # One bus per platform: a __dict__ here is off the per-event path.
-class AsbBus:  # repro: lint-ok[slots]
+class AsbBus:
     """The shared bus: arbitration, snooping, data movement, timing."""
 
     def __init__(

@@ -98,11 +98,6 @@ class CoherenceProtocol:
         """
         raise NotImplementedError
 
-    def read_hit(self, state: State) -> State:
-        """State after a processor read hit (identity for all protocols)."""
-        self._check(state)
-        return state
-
     def write_hit(self, state: State) -> Tuple[State, WriteAction]:
         """State and required bus action for a processor write hit."""
         raise NotImplementedError

@@ -8,7 +8,7 @@ Each rule module registers itself on import; ``repro/lint/rules.py``
 imports them.
 """
 
-from .resources import ResourceSpec, active_registry, register_resource  # noqa: F401
+from .resources import ResourceSpec  # noqa: F401
 from .model import ConcurAnalysis  # noqa: F401
 
-__all__ = ["ResourceSpec", "active_registry", "register_resource", "ConcurAnalysis"]
+__all__ = ["ResourceSpec", "ConcurAnalysis"]

@@ -116,14 +116,6 @@ class CFG:
         self.nodes: List[Node] = [self.entry, self.exit, self.raise_exit]
         _Builder(self).run()
 
-    def preds(self):
-        """Reverse edge map: node -> [(pred, kind), ...]."""
-        result = {node: [] for node in self.nodes}
-        for node in self.nodes:
-            for succ, kind in node.succ:
-                result[succ].append((node, kind))
-        return result
-
 
 class _Builder:
     """Recursive-descent CFG construction.

@@ -36,7 +36,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..core import Project
 from .cfg import CFG, NORMAL, Node, walk_no_defs
-from .resources import ResourceSpec, active_registry
+from .resources import DEFAULT_RESOURCES, ResourceSpec
 
 __all__ = ["ConcurAnalysis", "FunctionInfo", "NodeEvents", "WaitEdge", "expr_text"]
 
@@ -176,7 +176,9 @@ class ConcurAnalysis:
     def __init__(self, project: Project, registry: Optional[Dict[str, ResourceSpec]] = None):
         self.project = project
         self.registry: Dict[str, ResourceSpec] = (
-            dict(registry) if registry is not None else active_registry()
+            dict(registry)
+            if registry is not None
+            else {spec.id: spec for spec in DEFAULT_RESOURCES}
         )
         self.functions: List[FunctionInfo] = []
         self.by_name: Dict[str, List[FunctionInfo]] = {}

@@ -9,25 +9,18 @@ the AST (method names plus a regex over the unparsed receiver
 expression), what kind of resource it is, and which semantic flags the
 dataflow passes should apply.
 
-The registry is deliberately small and open: a new fabric or engine
-that introduces its own arbitrated resource calls
-:func:`register_resource` (usually from its own module or a conftest)
-and the three rules pick it up with no rule changes.  See
-``docs/static-analysis.md`` for the shipped table.
+The shipped table is :data:`DEFAULT_RESOURCES`; a resource new to the
+simulator gets a spec there and the three rules pick it up with no rule
+changes.  See ``docs/static-analysis.md`` for the table.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
-__all__ = [
-    "ResourceSpec",
-    "register_resource",
-    "active_registry",
-    "DEFAULT_RESOURCES",
-]
+__all__ = ["ResourceSpec", "DEFAULT_RESOURCES"]
 
 #: resource kinds the passes understand
 KINDS = ("mutex", "arbiter", "slot", "completion", "registry")
@@ -141,29 +134,3 @@ DEFAULT_RESOURCES: Tuple[ResourceSpec, ...] = (
         callback_methods=("snoop",),
     ),
 )
-
-#: the live registry, id -> spec (module-level so fabrics can extend it)
-_REGISTRY: Dict[str, ResourceSpec] = {spec.id: spec for spec in DEFAULT_RESOURCES}
-
-
-def register_resource(
-    spec: ResourceSpec,
-    registry: Optional[Dict[str, ResourceSpec]] = None,
-) -> ResourceSpec:
-    """Add ``spec`` to the registry (the process-wide one by default).
-
-    Duplicate ids raise — two specs matching the same resource would
-    double-report.  Pass an explicit ``registry`` dict (e.g. a copy of
-    :func:`active_registry`) to extend a single analysis without
-    touching global state.
-    """
-    target = _REGISTRY if registry is None else registry
-    if spec.id in target:
-        raise ValueError(f"duplicate resource id {spec.id!r}")
-    target[spec.id] = spec
-    return spec
-
-
-def active_registry() -> Dict[str, ResourceSpec]:
-    """A copy of the current registry (id -> spec, insertion order)."""
-    return dict(_REGISTRY)

@@ -4,9 +4,8 @@
 runtime coherence checker, the exhaustive model checker, the fault
 matrix) with checks that need no simulation at all: AST passes over the
 package source catch simulator hazards (nondeterministic iteration,
-unslotted hot-path classes, unguarded trace emits, bad process yields,
-fault proxies that silently bypass injection, import-direction
-contracts, and the concurrency discipline of simulation processes).
+unguarded trace emits, bad process yields, import-direction contracts,
+and the concurrency discipline of simulation processes).
 
 The pieces:
 
@@ -128,7 +127,7 @@ class ModuleSource:
                         line=lineno,
                         message=(
                             "blanket suppression: lint-ok must name the "
-                            "rule(s) it silences, e.g. lint-ok[slots]"
+                            "rule(s) it silences, e.g. lint-ok[determinism]"
                         ),
                     )
                 )

@@ -10,7 +10,5 @@ from .concur import cycle  # noqa: F401
 from .concur import hold  # noqa: F401
 from .concur import release  # noqa: F401
 from . import contracts  # noqa: F401
-from . import fault_proxy  # noqa: F401
 from . import process_yield  # noqa: F401
-from . import slots  # noqa: F401
 from . import trace_guard  # noqa: F401

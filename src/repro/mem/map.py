@@ -146,10 +146,6 @@ class MemoryMap:
         """True when a cache may allocate a line for ``addr``."""
         return self.find(addr).cacheable
 
-    def device_at(self, addr: int) -> Any:
-        """The device backing ``addr``, or None for plain memory."""
-        return self.find(addr).device
-
     def __iter__(self):
         return iter(self._regions)
 

@@ -329,7 +329,7 @@ class AnyOf(Event):
 
 
 # One scheduler per platform: a __dict__ here is off the per-event path.
-class Simulator:  # repro: lint-ok[slots]
+class Simulator:
     """The discrete-event scheduler.
 
     Typical use::

@@ -97,7 +97,7 @@ class TraceChannel:
 
 # One tracer per platform; the hot path goes through the slotted
 # TraceChannel guards, never through attribute lookups on this object.
-class Tracer:  # repro: lint-ok[slots]
+class Tracer:
     """Collects :class:`TraceRecord` objects on enabled channels.
 
     ``records`` is a ring buffer: with a ``capacity``, the oldest record
@@ -164,7 +164,7 @@ class Tracer:  # repro: lint-ok[slots]
         return "\n".join(r.format() for r in self.records)
 
 
-class NullTracer(Tracer):  # repro: lint-ok[slots] -- singleton, like Tracer
+class NullTracer(Tracer):
     """A tracer that records nothing, for zero-overhead benchmark runs."""
 
     def __init__(self):

@@ -1,9 +1,11 @@
-"""Injector arming, validation, and byte-identical replay."""
+"""Injector arming, validation, proxy coverage and byte-identical replay."""
+
+import importlib
 
 import pytest
 
 from repro.errors import ConfigError, LivelockError
-from repro.faults import SITES, FaultSpec
+from repro.faults import SITES, FaultSpec, injectors
 from repro.faults.matrix import default_matrix, run_entry
 from repro.workloads.microbench import (
     MicrobenchSpec,
@@ -105,3 +107,44 @@ def test_watchdog_detection_replays_identically():
     second = run_entry(entry)
     assert first.outcome == second.outcome == "watchdog"
     assert first.detail == second.detail
+
+
+def _proxies():
+    """Classes in ``faults/injectors.py`` that delegate to a wrapped component."""
+    return [
+        cls for cls in vars(injectors).values()
+        if isinstance(cls, type)
+        and cls.__module__ == injectors.__name__
+        and ("__getattr__" in vars(cls) or "_wraps" in vars(cls))
+    ]
+
+
+def proxy_problems(proxy):
+    """What keeps ``proxy`` from covering the class it wraps, one line each."""
+    if "_wraps" not in vars(proxy):
+        return [f"{proxy.__name__} must declare _wraps"]
+    module_name, _, class_name = proxy._wraps.rpartition(".")
+    try:
+        wrapped = getattr(importlib.import_module(module_name), class_name)
+    except (ImportError, AttributeError, ValueError):
+        return [f"{proxy.__name__}._wraps {proxy._wraps!r} does not resolve"]
+    public = sorted(
+        name for name in dir(wrapped)
+        if not name.startswith("_") and callable(getattr(wrapped, name))
+    )
+    return [
+        f"{name}; {proxy.__name__} must define it to intercept or delegate"
+        for name in public if name not in vars(proxy)
+    ]
+
+
+@pytest.mark.parametrize("proxy", _proxies(), ids=lambda cls: cls.__name__)
+def test_proxy_defines_every_public_method_it_wraps(proxy):
+    """A method the wrapped class grows must not slip past injection.
+
+    ``__getattr__`` would forward it silently: the fault keeps "passing"
+    while no longer intercepting what it was written to perturb.  Each
+    proxy names its target in ``_wraps`` and defines every public
+    callable of it, intercepting or delegating, in its own body.
+    """
+    assert proxy_problems(proxy) == []

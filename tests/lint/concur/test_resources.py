@@ -1,16 +1,11 @@
-"""The declarative resource registry: matching, validation, extension."""
+"""The declarative resource table: matching, validation, substitution."""
 
 import textwrap
 
 import pytest
 
 from repro.lint.concur.model import ConcurAnalysis
-from repro.lint.concur.resources import (
-    DEFAULT_RESOURCES,
-    ResourceSpec,
-    active_registry,
-    register_resource,
-)
+from repro.lint.concur.resources import DEFAULT_RESOURCES, ResourceSpec
 
 
 class TestReceiverMatching:
@@ -49,37 +44,14 @@ class TestSpecValidation:
 
 
 class TestRegistry:
-    def test_active_registry_is_a_copy(self):
-        first = active_registry()
-        first["bogus"] = ResourceSpec(id="bogus", kind="mutex")
-        assert "bogus" not in active_registry()
-
-    def test_duplicate_id_rejected(self):
-        registry = active_registry()
-        with pytest.raises(ValueError, match="duplicate resource id"):
-            register_resource(
-                ResourceSpec(id="bus-tenure", kind="mutex"), registry
-            )
-
-    def test_explicit_registry_does_not_touch_global(self):
-        registry = active_registry()
-        register_resource(
-            ResourceSpec(id="dma-channel", kind="mutex"), registry
-        )
-        assert "dma-channel" in registry
-        assert "dma-channel" not in active_registry()
-
     def test_custom_resource_drives_the_analysis(self, make_project):
-        registry = active_registry()
-        register_resource(
-            ResourceSpec(
-                id="dma-channel",
-                kind="mutex",
-                acquire_methods=("claim",),
-                release_methods=("unclaim",),
-                receiver=r"(^|\.)dma$",
-            ),
-            registry,
+        registry = {spec.id: spec for spec in DEFAULT_RESOURCES}
+        registry["dma-channel"] = ResourceSpec(
+            id="dma-channel",
+            kind="mutex",
+            acquire_methods=("claim",),
+            release_methods=("unclaim",),
+            receiver=r"(^|\.)dma$",
         )
         project = make_project(
             {

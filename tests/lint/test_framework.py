@@ -17,56 +17,56 @@ from repro.lint.core import (
 )
 from repro.lint.report import render_json, render_text
 
-# A hot-path module with one obvious slots violation, reused throughout.
-VIOLATION = "class Hot:\n    def __init__(self):\n        self.x = 1\n"
+# A set-iteration line the determinism rule flags, waived in each test.
+LOOP = "for x in {1, 2}:"
 
 
 class TestSuppressions:
     def test_named_suppression_silences_the_rule(self, make_project):
-        src = "class Hot:  # repro: lint-ok[slots]\n    pass\n"
-        project = make_project({"sim/kernel.py": src})
-        assert run_rules(project, ["slots"]) == []
+        src = f"{LOOP}  # repro: lint-ok[determinism]\n    pass\n"
+        project = make_project({"core/x.py": src})
+        assert run_rules(project, ["determinism"]) == []
 
     def test_comment_only_line_covers_the_next_line(self, make_project):
-        src = "# repro: lint-ok[slots]\nclass Hot:\n    pass\n"
-        project = make_project({"sim/kernel.py": src})
-        assert run_rules(project, ["slots"]) == []
+        src = f"# repro: lint-ok[determinism]\n{LOOP}\n    pass\n"
+        project = make_project({"core/x.py": src})
+        assert run_rules(project, ["determinism"]) == []
 
     def test_suppression_for_other_rule_does_not_silence(self, make_project):
-        src = "class Hot:  # repro: lint-ok[determinism]\n    pass\n"
-        project = make_project({"sim/kernel.py": src})
-        findings = run_rules(project, ["slots"])
-        assert [f.rule for f in findings] == ["slots"]
+        src = f"{LOOP}  # repro: lint-ok[trace-guard]\n    pass\n"
+        project = make_project({"core/x.py": src})
+        findings = run_rules(project, ["determinism"])
+        assert [f.rule for f in findings] == ["determinism"]
 
     def test_blanket_suppression_is_an_error(self, make_project):
-        src = "class Hot:  # repro: lint-ok\n    pass\n"
-        project = make_project({"sim/kernel.py": src})
-        findings = run_rules(project, ["slots"])
+        src = f"{LOOP}  # repro: lint-ok\n    pass\n"
+        project = make_project({"core/x.py": src})
+        findings = run_rules(project, ["determinism"])
         rules = {f.rule for f in findings}
         assert "suppression" in rules  # the blanket waiver itself
-        assert "slots" in rules  # and it silenced nothing
+        assert "determinism" in rules  # and it silenced nothing
         blanket = [f for f in findings if f.rule == "suppression"][0]
         assert blanket.severity is Severity.ERROR
 
     def test_unused_suppression_warns_on_full_runs(self, make_project):
-        src = "x = 1  # repro: lint-ok[slots]\n"
+        src = "x = 1  # repro: lint-ok[determinism]\n"
         project = make_project({"core/util.py": src})
         findings = run_rules(project)
         assert any(
             f.rule == "suppression" and "unused" in f.message for f in findings
         )
         # Partial runs cannot tell unused from not-checked: no warning.
-        assert run_rules(project, ["determinism"]) == []
+        assert run_rules(project, ["trace-guard"]) == []
 
     def test_docstring_mention_is_not_a_waiver(self):
-        src = '"""Docs say: use # repro: lint-ok[slots] to waive."""\nx = 1\n'
+        src = '"""Docs say: use # repro: lint-ok[determinism] to waive."""\nx = 1\n'
         module = ModuleSource("core/doc.py", src)
         assert module.suppressions == {}
 
     def test_unknown_rule_waiver_is_an_error(self, make_project):
         src = "x = 1  # repro: lint-ok[hold-accross-yield]\n"
         project = make_project({"core/util.py": src})
-        findings = run_rules(project, ["slots"])  # even on partial runs
+        findings = run_rules(project, ["determinism"])  # even on partial runs
         (finding,) = findings
         assert finding.rule == "suppression"
         assert finding.severity is Severity.ERROR
@@ -98,7 +98,7 @@ class TestSuppressions:
 class TestReporters:
     def _findings(self):
         return [
-            Finding("slots", "a.py", 3, "class A has no __slots__"),
+            Finding("determinism", "a.py", 3, "iteration over a set"),
             Finding(
                 "suppression", "b.py", 1, "unused", severity=Severity.WARNING
             ),
@@ -108,7 +108,7 @@ class TestReporters:
         out = io.StringIO()
         render_text(self._findings(), out)
         text = out.getvalue()
-        assert "a.py:3: [error] slots: class A has no __slots__" in text
+        assert "a.py:3: [error] determinism: iteration over a set" in text
         assert "1 error(s), 1 warning(s)" in text
 
     def test_text_report_clean(self):
@@ -123,11 +123,11 @@ class TestReporters:
         assert doc["errors"] == 1
         assert doc["warnings"] == 1
         assert doc["findings"][0] == {
-            "rule": "slots",
+            "rule": "determinism",
             "path": "a.py",
             "line": 3,
             "severity": "error",
-            "message": "class A has no __slots__",
+            "message": "iteration over a set",
         }
 
 
@@ -141,10 +141,8 @@ class TestSelection:
         run_rules(load_project(["tests/lint/conftest.py"]))  # force registration
         assert set(RULES) == {
             "determinism",
-            "slots",
             "trace-guard",
             "process-yield",
-            "fault-proxy",
             "engine-contract",
             "fabric-contract",
             "resource-release",
@@ -155,15 +153,15 @@ class TestSelection:
     def test_findings_sorted_and_stable(self, make_project):
         src = textwrap.dedent(
             """
-            class B:
+            for b in {2}:
                 pass
 
-            class A:
+            for a in {1}:
                 pass
             """
         )
-        project = make_project({"sim/kernel.py": src})
-        findings = run_rules(project, ["slots"])
+        project = make_project({"core/x.py": src})
+        findings = run_rules(project, ["determinism"])
         assert [f.line for f in findings] == sorted(f.line for f in findings)
 
 

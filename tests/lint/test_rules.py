@@ -1,9 +1,13 @@
 """Mutation-style fixtures: every rule fires on the violation and stays
 silent on the fixed twin."""
 
+import sys
 import textwrap
+import types
 
 from repro.lint.core import run_rules
+from tests.faults.test_injectors import proxy_problems
+from tests.test_slots import classes_with_dict
 
 
 def _run(make_project, files, rules):
@@ -79,42 +83,46 @@ class TestDeterminism:
 
 
 class TestSlots:
-    def test_unslotted_class_in_hot_module_fires(self, make_project):
+    """``slots`` is a runtime check now (``tests/test_slots.py``): the
+    same fixtures, executed as modules, prove it fires and stays silent
+    where the lint rule did."""
+
+    @staticmethod
+    def _with_dict(src):
+        module = types.ModuleType("repro.sim.kernel")
+        exec(textwrap.dedent(src), vars(module))
+        return classes_with_dict(module)
+
+    def test_unslotted_class_in_hot_module_fires(self):
         src = "class Event:\n    def __init__(self):\n        self.x = 1\n"
-        findings = _run(make_project, {"sim/kernel.py": src}, ["slots"])
-        assert [f.rule for f in findings] == ["slots"]
+        assert self._with_dict(src) == {"repro.sim.kernel.Event"}
 
-    def test_slotted_class_is_silent(self, make_project):
+    def test_slotted_class_is_silent(self):
         src = "class Event:\n    __slots__ = ('x',)\n"
-        assert _run(make_project, {"sim/kernel.py": src}, ["slots"]) == []
+        assert self._with_dict(src) == set()
 
-    def test_slots_dataclass_is_silent(self, make_project):
-        src = textwrap.dedent(
-            """
+    def test_slots_dataclass_is_silent(self):
+        src = """
             from dataclasses import dataclass
 
             @dataclass(frozen=True, slots=True)
             class Record:
                 x: int
             """
-        )
-        assert _run(make_project, {"sim/tracing.py": src}, ["slots"]) == []
+        assert self._with_dict(src) == set()
 
-    def test_dataclass_without_slots_fires(self, make_project):
-        src = textwrap.dedent(
-            """
+    def test_dataclass_without_slots_fires(self):
+        src = """
             from dataclasses import dataclass
 
             @dataclass
             class Record:
                 x: int
             """
-        )
-        assert len(_run(make_project, {"sim/tracing.py": src}, ["slots"])) == 1
+        assert len(self._with_dict(src)) == 1
 
-    def test_enum_and_exception_are_exempt(self, make_project):
-        src = textwrap.dedent(
-            """
+    def test_enum_and_exception_are_exempt(self):
+        src = """
             from enum import Enum
 
             class State(Enum):
@@ -123,12 +131,7 @@ class TestSlots:
             class KernelError(Exception):
                 pass
             """
-        )
-        assert _run(make_project, {"sim/kernel.py": src}, ["slots"]) == []
-
-    def test_cold_module_is_ignored(self, make_project):
-        src = "class Anything:\n    pass\n"
-        assert _run(make_project, {"analysis/report.py": src}, ["slots"]) == []
+        assert self._with_dict(src) == set()
 
 
 class TestTraceGuard:
@@ -263,104 +266,80 @@ class TestProcessYield:
         assert _run(make_project, {"core/x.py": src}, ["process-yield"]) == []
 
 
-WRAPPED = textwrap.dedent(
-    """
-    class InterruptLine:
-        def assert_line(self):
-            pass
+class InterruptLine:
+    def assert_line(self):
+        pass
 
-        def deassert(self):
-            pass
+    def deassert(self):
+        pass
 
-        def wait(self):
-            pass
+    def wait(self):
+        pass
 
-        def _internal(self):
-            pass
-    """
-)
+    def _internal(self):
+        pass
 
 
 class TestFaultProxy:
-    def test_getattr_without_wraps_fires(self, make_project):
-        src = textwrap.dedent(
-            """
-            class _Proxy:
-                def __getattr__(self, name):
-                    return getattr(self._inner, name)
-            """
-        )
-        findings = _run(
-            make_project, {"faults/injectors.py": src}, ["fault-proxy"]
-        )
-        assert len(findings) == 1 and "_wraps" in findings[0].message
+    """``fault-proxy`` is a runtime check now
+    (``tests/faults/test_injectors.py``); these fixtures prove it fires
+    and stays silent where the lint rule did."""
 
-    def test_missing_public_method_fires(self, make_project):
-        src = textwrap.dedent(
-            """
-            class _Proxy:
-                _wraps = "repro.cpu.interrupts.InterruptLine"
+    @staticmethod
+    def _wrapped(monkeypatch):
+        module = types.ModuleType("fixture_interrupts")
+        module.InterruptLine = InterruptLine
+        monkeypatch.setitem(sys.modules, module.__name__, module)
 
-                def assert_line(self):
-                    pass
+    def test_getattr_without_wraps_fires(self):
+        class _Proxy:
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
 
-                def __getattr__(self, name):
-                    return getattr(self._inner, name)
-            """
-        )
-        findings = _run(
-            make_project,
-            {"faults/injectors.py": src, "cpu/interrupts.py": WRAPPED},
-            ["fault-proxy"],
-        )
-        missing = sorted(f.message.split(";")[0] for f in findings)
-        assert len(findings) == 2
-        assert "deassert" in missing[0] and "wait" in missing[1]
+        problems = proxy_problems(_Proxy)
+        assert len(problems) == 1 and "_wraps" in problems[0]
 
-    def test_full_coverage_is_silent(self, make_project):
-        src = textwrap.dedent(
-            """
-            class _Proxy:
-                _wraps = "repro.cpu.interrupts.InterruptLine"
+    def test_missing_public_method_fires(self, monkeypatch):
+        self._wrapped(monkeypatch)
 
-                def assert_line(self):
-                    pass
+        class _Proxy:
+            _wraps = "fixture_interrupts.InterruptLine"
 
-                def deassert(self):
-                    pass
+            def assert_line(self):
+                pass
 
-                def wait(self):
-                    pass
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
 
-                def __getattr__(self, name):
-                    return getattr(self._inner, name)
-            """
-        )
-        assert (
-            _run(
-                make_project,
-                {"faults/injectors.py": src, "cpu/interrupts.py": WRAPPED},
-                ["fault-proxy"],
-            )
-            == []
-        )
+        missing = sorted(p.split(";")[0] for p in proxy_problems(_Proxy))
+        assert missing == ["deassert", "wait"]
 
-    def test_unresolvable_wraps_fires(self, make_project):
-        src = 'class _Proxy:\n    _wraps = "repro.nowhere.Nothing"\n'
-        findings = _run(
-            make_project, {"faults/injectors.py": src}, ["fault-proxy"]
-        )
-        assert len(findings) == 1 and "does not resolve" in findings[0].message
+    def test_full_coverage_is_silent(self, monkeypatch):
+        self._wrapped(monkeypatch)
 
-    def test_other_modules_are_ignored(self, make_project):
-        src = textwrap.dedent(
-            """
-            class _Proxy:
-                def __getattr__(self, name):
-                    return getattr(self._inner, name)
-            """
-        )
-        assert _run(make_project, {"core/wrapper.py": src}, ["fault-proxy"]) == []
+        class _Proxy:
+            _wraps = "fixture_interrupts.InterruptLine"
+
+            def assert_line(self):
+                pass
+
+            def deassert(self):
+                pass
+
+            def wait(self):
+                pass
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+        assert proxy_problems(_Proxy) == []
+
+    def test_unresolvable_wraps_fires(self):
+        class _Proxy:
+            _wraps = "repro.nowhere.Nothing"
+
+        problems = proxy_problems(_Proxy)
+        assert len(problems) == 1 and "does not resolve" in problems[0]
 
 
 class TestEngineContract:

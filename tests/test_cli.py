@@ -155,12 +155,12 @@ class TestLint:
         assert doc["errors"] == 0
 
     def test_seeded_violation_exits_1(self, capsys, tmp_path):
-        bad = tmp_path / "sim" / "kernel.py"
+        bad = tmp_path / "core" / "x.py"
         bad.parent.mkdir()
-        bad.write_text("class Hot:\n    def __init__(self):\n        self.x = 1\n")
-        assert main(["lint", str(tmp_path), "--rules", "slots"]) == 1
+        bad.write_text("for x in {1, 2}:\n    pass\n")
+        assert main(["lint", str(tmp_path), "--rules", "determinism"]) == 1
         out = capsys.readouterr().out
-        assert "[error] slots" in out
+        assert "[error] determinism" in out
 
     def test_missing_path_exits_2(self, capsys, tmp_path):
         assert main(["lint", str(tmp_path / "nonexistent.py")]) == 2
@@ -173,9 +173,16 @@ class TestLint:
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in ("determinism", "slots", "wait-cycle"):
-            assert rule in out
-        assert len(out.splitlines()) == 10
+        assert sorted(line.split()[0] for line in out.splitlines()) == [
+            "determinism",
+            "engine-contract",
+            "fabric-contract",
+            "hold-across-yield",
+            "process-yield",
+            "resource-release",
+            "trace-guard",
+            "wait-cycle",
+        ]
 
 
 class TestExitCodes:
