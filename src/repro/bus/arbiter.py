@@ -48,6 +48,11 @@ __all__ = [
     "ARBITERS",
 ]
 
+#: every band, most urgent first, and the two FIFO bands above NORMAL;
+#: built once, because iterating the enum class costs a generator per call
+_BANDS = tuple(Priority)
+_URGENT = (Priority.DRAIN, Priority.RETRY)
+
 
 class Arbiter:
     """Base arbiter: three priority bands, exclusive grant semantics.
@@ -59,7 +64,7 @@ class Arbiter:
     def __init__(self, sim: Simulator):
         self.sim = sim
         self._queues: dict[Priority, Deque[Tuple[str, Event]]] = {
-            level: deque() for level in Priority
+            level: deque() for level in _BANDS
         }
         self._holder: Optional[str] = None
         self.grants = 0
@@ -130,7 +135,7 @@ class FixedPriorityArbiter(Arbiter):
     """
 
     def _select(self) -> Optional[Tuple[str, Event]]:
-        for level in Priority:
+        for level in _BANDS:
             queue = self._queues[level]
             if queue:
                 return queue.popleft()
@@ -172,7 +177,7 @@ class MasterPriorityArbiter(Arbiter):
         return super().request(master, priority)
 
     def _select(self) -> Optional[Tuple[str, Event]]:
-        for level in (Priority.DRAIN, Priority.RETRY):
+        for level in _URGENT:
             queue = self._queues[level]
             if queue:
                 return queue.popleft()
@@ -233,7 +238,7 @@ class RoundRobinArbiter(Arbiter):
         return super().request(master, priority)
 
     def _select(self) -> Optional[Tuple[str, Event]]:
-        for level in (Priority.DRAIN, Priority.RETRY):
+        for level in _URGENT:
             queue = self._queues[level]
             if queue:
                 return queue.popleft()

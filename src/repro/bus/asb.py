@@ -275,9 +275,11 @@ class AsbBus:
                 # hands the bus to the snooper directly (the BOFF/ARTRY
                 # handover of Section 3).
                 arb_cycles = 0 if priority is Priority.DRAIN else self.arbitration_cycles
-                yield sim.timeout(
-                    self.clock.edge_then_cycles(sim.now, arb_cycles + self.address_cycles)
+                delay = self.clock.edge_then_cycles(
+                    sim.now, arb_cycles + self.address_cycles
                 )
+                if not sim.advance(delay):
+                    yield sim.timeout(delay)
                 trace = self._trace_bus
                 if trace.enabled:
                     trace.emit(
@@ -335,9 +337,12 @@ class AsbBus:
         The tenure runs the result with ``yield from``, so an override
         that waits for nothing returns ``()``.
         """
+        sim = self.sim
         state.phase = "data"
-        state.since = self.sim.now
-        yield self.sim.timeout(self.clock.cycles(cycles))
+        state.since = sim.now
+        delay = self.clock.cycles(cycles)
+        if not sim.advance(delay):
+            yield sim.timeout(delay)
 
     def _data_after_commit(self, txn: Transaction, cycles: int):
         """Data placement after ``commit``: nothing left on an atomic tenure."""

@@ -114,6 +114,8 @@ class Core:
 
     # -- execution loop ---------------------------------------------------------
     def _run(self):
+        sim = self.sim
+        advance = sim.advance
         while True:
             if self._fiq_ready():
                 yield from self._enter_isr()
@@ -122,29 +124,95 @@ class Core:
                 # Finished, but stay responsive to snoop-hit interrupts.
                 self.process.daemon = True
                 if self.fiq.asserted:
-                    yield self.sim.timeout(self._fiq_wait_remaining())
+                    yield sim.timeout(self._fiq_wait_remaining())
                 else:
                     yield self.fiq.wait()
                 continue
-            if not 0 <= self.pc < len(self.program):
+            pc = self.pc
+            if not 0 <= pc < len(self.program):
                 raise ExecutionError(
-                    f"{self.name}: PC {self.pc} outside program "
+                    f"{self.name}: PC {pc} outside program "
                     f"(0..{len(self.program) - 1})"
                 )
-            instr = self.program[self.pc]
-            self.pc += 1
+            instr = self.program[pc]
+            self.pc = pc + 1
             if self.trace_instructions:
                 trace = self._trace_core
                 if trace.enabled:
-                    trace.emit(
-                        self.sim.now, self.name, "exec",
-                        pc=self.pc - 1, instr=instr.render(),
-                    )
-            yield from self._execute(instr)
+                    trace.emit(sim.now, self.name, "exec", pc=pc, instr=instr.render())
+            # Base pipeline occupancy for every instruction.
+            delay = self.clock.cycles(self.cpi)
+            if not advance(delay):
+                yield sim.timeout(delay)
+            # Ops that never wait run inline; memory and timed ops are
+            # the only ones that need a generator.
+            op = instr.op
+            regs = self.regs
+            if op == "ADDI":
+                regs[instr.rd] = (regs[instr.ra] + instr.imm) & REG_MASK
+            elif op == "SUBI":
+                regs[instr.rd] = (regs[instr.ra] - instr.imm) & REG_MASK
+            elif op == "BNE":
+                if regs[instr.ra] != regs[instr.rb]:
+                    self.pc = instr.target
+            elif op == "BEQ":
+                if regs[instr.ra] == regs[instr.rb]:
+                    self.pc = instr.target
+            elif op == "LI":
+                regs[instr.rd] = instr.imm & REG_MASK
+            elif op == "MOV":
+                regs[instr.rd] = regs[instr.ra]
+            elif op == "ADD":
+                regs[instr.rd] = (regs[instr.ra] + regs[instr.rb]) & REG_MASK
+            elif op == "SUB":
+                regs[instr.rd] = (regs[instr.ra] - regs[instr.rb]) & REG_MASK
+            elif op == "AND":
+                regs[instr.rd] = regs[instr.ra] & regs[instr.rb]
+            elif op == "OR":
+                regs[instr.rd] = regs[instr.ra] | regs[instr.rb]
+            elif op == "XOR":
+                regs[instr.rd] = regs[instr.ra] ^ regs[instr.rb]
+            elif op == "MUL":
+                regs[instr.rd] = (regs[instr.ra] * regs[instr.rb]) & REG_MASK
+            elif op == "SHL":
+                regs[instr.rd] = (regs[instr.ra] << instr.imm) & REG_MASK
+            elif op == "SHR":
+                regs[instr.rd] = (regs[instr.ra] & REG_MASK) >> instr.imm
+            elif op == "BLT":
+                if regs[instr.ra] < regs[instr.rb]:
+                    self.pc = instr.target
+            elif op == "BGE":
+                if regs[instr.ra] >= regs[instr.rb]:
+                    self.pc = instr.target
+            elif op == "JMP":
+                self.pc = instr.target
+            elif op == "JAL":
+                regs[instr.rd] = self.pc
+                self.pc = instr.target
+            elif op == "JR":
+                self.pc = regs[instr.ra]
+            elif op == "DCBI":
+                self.dcache.invalidate_line(regs[instr.ra] & REG_MASK)
+            elif op == "EI":
+                self.interrupts_enabled = True
+            elif op == "DI":
+                self.interrupts_enabled = False
+            elif op == "NOP":
+                pass
+            elif op == "HALT":
+                self._halt()
+            else:
+                yield from self._execute(instr)
             self.regs[0] = 0  # r0 is architecturally zero
             self.retired += 1
             if not self.in_isr:
                 self.mainline_retired += 1
+
+    def _wait(self, delay: int):
+        """Hold this core for ``delay`` ticks (in place when nothing
+        else is due first, see :meth:`Simulator.advance`)."""
+        if not self.sim.advance(delay):
+            yield self.sim.timeout(delay)
 
     def _fiq_ready(self) -> bool:
         if not (self.fiq.asserted and self.interrupts_enabled and not self.in_isr):
@@ -181,7 +249,7 @@ class Core:
         trace = self._trace_irq
         if trace.enabled:
             trace.emit(self.sim.now, self.name, "isr-enter", pc=self.pc)
-        yield self.sim.timeout(self.clock.cycles(self.interrupt_entry_cycles))
+        yield from self._wait(self.clock.cycles(self.interrupt_entry_cycles))
         self._saved_context = (self.pc, self.interrupts_enabled)
         self.in_isr = True
         self.interrupts_enabled = False
@@ -196,40 +264,23 @@ class Core:
         trace = self._trace_irq
         if trace.enabled:
             trace.emit(self.sim.now, self.name, "isr-exit", pc=self.pc)
-        yield self.sim.timeout(self.clock.cycles(self.rfi_cycles))
+        yield from self._wait(self.clock.cycles(self.rfi_cycles))
 
-    # -- the ALU / memory dispatch ---------------------------------------------
+    def _halt(self) -> None:
+        self.halted = True
+        self.halt_time = self.sim.now
+        trace = self._trace_core
+        if trace.enabled:
+            trace.emit(self.sim.now, self.name, "halt", retired=self.retired)
+        if not (self.done.triggered or self.done._scheduled):
+            self.done.succeed(self.sim.now)
+
+    # -- memory and timed ops ----------------------------------------------------
     def _execute(self, instr: Instr):
+        """The ops that wait: memory accesses and fixed delays."""
         op = instr.op
         regs = self.regs
-        # Base pipeline occupancy for every instruction.
-        yield self.sim.timeout(self.clock.cycles(self.cpi))
-
-        if op == "LI":
-            regs[instr.rd] = instr.imm & REG_MASK
-        elif op == "MOV":
-            regs[instr.rd] = regs[instr.ra]
-        elif op == "ADD":
-            regs[instr.rd] = (regs[instr.ra] + regs[instr.rb]) & REG_MASK
-        elif op == "ADDI":
-            regs[instr.rd] = (regs[instr.ra] + instr.imm) & REG_MASK
-        elif op == "SUB":
-            regs[instr.rd] = (regs[instr.ra] - regs[instr.rb]) & REG_MASK
-        elif op == "SUBI":
-            regs[instr.rd] = (regs[instr.ra] - instr.imm) & REG_MASK
-        elif op == "AND":
-            regs[instr.rd] = regs[instr.ra] & regs[instr.rb]
-        elif op == "OR":
-            regs[instr.rd] = regs[instr.ra] | regs[instr.rb]
-        elif op == "XOR":
-            regs[instr.rd] = regs[instr.ra] ^ regs[instr.rb]
-        elif op == "MUL":
-            regs[instr.rd] = (regs[instr.ra] * regs[instr.rb]) & REG_MASK
-        elif op == "SHL":
-            regs[instr.rd] = (regs[instr.ra] << instr.imm) & REG_MASK
-        elif op == "SHR":
-            regs[instr.rd] = (regs[instr.ra] & REG_MASK) >> instr.imm
-        elif op == "LD":
+        if op == "LD":
             addr = (regs[instr.ra] + instr.imm) & REG_MASK
             regs[instr.rd] = yield from self.dcache.read(addr)
         elif op == "ST":
@@ -239,25 +290,6 @@ class Core:
             addr = regs[instr.ra] & REG_MASK
             old = yield from self.dcache.swap(addr, regs[instr.rd])
             regs[instr.rd] = old
-        elif op == "BEQ":
-            if regs[instr.ra] == regs[instr.rb]:
-                self.pc = instr.target
-        elif op == "BNE":
-            if regs[instr.ra] != regs[instr.rb]:
-                self.pc = instr.target
-        elif op == "BLT":
-            if regs[instr.ra] < regs[instr.rb]:
-                self.pc = instr.target
-        elif op == "BGE":
-            if regs[instr.ra] >= regs[instr.rb]:
-                self.pc = instr.target
-        elif op == "JMP":
-            self.pc = instr.target
-        elif op == "JAL":
-            regs[instr.rd] = self.pc
-            self.pc = instr.target
-        elif op == "JR":
-            self.pc = regs[instr.ra]
         elif op == "DCBF":
             priority = (
                 Priority.DRAIN
@@ -265,29 +297,13 @@ class Core:
                 else Priority.NORMAL
             )
             yield from self.dcache.flush_line(regs[instr.ra] & REG_MASK, priority)
-        elif op == "DCBI":
-            self.dcache.invalidate_line(regs[instr.ra] & REG_MASK)
         elif op == "DCBST":
             yield from self.dcache.writeback_line(regs[instr.ra] & REG_MASK)
         elif op == "SYNC":
-            yield self.sim.timeout(self.clock.cycles(self.sync_cycles))
-        elif op == "EI":
-            self.interrupts_enabled = True
-        elif op == "DI":
-            self.interrupts_enabled = False
+            yield from self._wait(self.clock.cycles(self.sync_cycles))
+        elif op == "DELAY":
+            yield from self._wait(self.clock.cycles(instr.imm))
         elif op == "RFI":
             yield from self._return_from_isr()
-        elif op == "NOP":
-            pass
-        elif op == "DELAY":
-            yield self.sim.timeout(self.clock.cycles(instr.imm))
-        elif op == "HALT":
-            self.halted = True
-            self.halt_time = self.sim.now
-            trace = self._trace_core
-            if trace.enabled:
-                trace.emit(self.sim.now, self.name, "halt", retired=self.retired)
-            if not (self.done.triggered or self.done._scheduled):
-                self.done.succeed(self.sim.now)
         else:  # pragma: no cover - validate_instr guards this
             raise ExecutionError(f"{self.name}: unimplemented opcode {op}")

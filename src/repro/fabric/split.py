@@ -131,9 +131,12 @@ class SplitBus(AsbBus):
             if predecessor is not None:
                 # In-order data bus: wait for the prior tenure.
                 yield predecessor
-            data_start = self.sim.now
+            sim = self.sim
+            data_start = sim.now
             state.since = data_start
-            yield self.sim.timeout(self.clock.cycles(cycles))
+            delay = self.clock.cycles(cycles)
+            if not sim.advance(delay):
+                yield sim.timeout(delay)
             self._charge_busy(txn.master, self.sim.now - data_start)
             self.stats.bump("fabric.split.data_tenures")
         finally:

@@ -20,6 +20,12 @@ bypass the time heap entirely: a plain FIFO run queue holds them, and
 the scheduler drains heap entries due at the current time before the
 FIFO.  Ordering is unchanged — see ``docs/timing-model.md`` ("kernel
 fast path & determinism guarantees") for the argument.
+
+The other common case is a process waiting out a fixed delay when
+nothing else is due before it ends: a core's ALU instruction, a bus
+phase.  :meth:`Simulator.advance` lets such a process move ``now``
+forward in place instead of scheduling a :class:`Timeout`, and refuses
+whenever the timeout would not have been the very next event to fire.
 """
 
 from __future__ import annotations
@@ -96,6 +102,17 @@ class Event:
         """Invoked by the simulator when this event's turn arrives."""
         self._triggered = True
         callbacks, self._callbacks = self._callbacks, []
+        if len(callbacks) > 1:
+            # While any waiter but the last runs, a later one is still
+            # due at this tick, so no process may advance the clock.
+            sim = self.sim
+            sim._held += 1
+            try:
+                for callback in callbacks[:-1]:
+                    callback(self)
+            finally:
+                sim._held -= 1
+            callbacks = callbacks[-1:]
         for callback in callbacks:
             callback(self)
 
@@ -328,6 +345,12 @@ class AnyOf(Event):
         return collect
 
 
+#: ``Simulator._horizon`` outside run(), and its ``_allowance`` when
+#: run() has no ``max_events`` budget
+_NEVER = -1
+_UNBOUNDED = 1 << 62
+
+
 # One scheduler per platform: a __dict__ here is off the per-event path.
 class Simulator:
     """The discrete-event scheduler.
@@ -357,6 +380,13 @@ class Simulator:
         #: denominator engine benchmarks use to express work done per
         #: wall-clock second in kernel terms
         self.events_fired: int = 0
+        # advance() state, set by run(): the latest time it may reach,
+        # how many more events the max_events budget allows, the run's
+        # stop event, and how many multi-waiter firings are in progress
+        self._horizon: int = _NEVER
+        self._allowance: int = 0
+        self._stop: Optional[Event] = None
+        self._held: int = 0
 
     # -- event factories ----------------------------------------------------
     def event(self) -> Event:
@@ -386,12 +416,41 @@ class Simulator:
         return AnyOf(self, events)
 
     # -- scheduling ----------------------------------------------------------
-    def _schedule(self, event: Event, delay: int) -> None:
-        if delay == 0:
-            self._fifo.append(event)
-        else:
-            heappush(self._queue, (self.now + delay, self._sequence, event))
-            self._sequence += 1
+    def advance(self, delay: int) -> bool:
+        """Wait ``delay`` ticks in place, if nothing could tell.
+
+        Returns True, with ``now`` moved forward by ``delay`` and the
+        wait counted as one fired event, exactly when a
+        ``timeout(delay)`` yielded here would be the next event run()
+        fires.  Otherwise (always outside run(), e.g. under
+        :meth:`step`) it returns False and changes nothing, and the
+        caller yields the timeout::
+
+            if not sim.advance(delay):
+                yield sim.timeout(delay)
+
+        ``docs/timing-model.md`` argues why these refusals suffice.
+        """
+        when = self.now + delay
+        if (
+            self._fifo  # same-tick work runs first
+            or when > self._horizon  # past until, or not inside run()
+            or delay < 0
+            or self._held  # another waiter of this event is still due
+            or self._allowance <= 0  # max_events reached first
+        ):
+            return False
+        queue = self._queue
+        # A heap entry at ``when`` has the smaller sequence: it fires first.
+        if queue and queue[0][0] <= when:
+            return False
+        stop = self._stop
+        if stop is not None and stop._triggered:
+            return False  # run() returns before firing anything else
+        self.now = when
+        self._allowance -= 1
+        self.events_fired += 1
+        return True
 
     def peek(self) -> Optional[int]:
         """Time of the next scheduled event, or None if the queue is empty."""
@@ -444,6 +503,12 @@ class Simulator:
         queue = self._queue
         fifo = self._fifo
         fifo_pop = fifo.popleft
+        # Events counted before this run; advance() adds its own to
+        # events_fired directly.
+        base = self.events_fired
+        self._horizon = until if until is not None else _UNBOUNDED
+        self._stop = stop_event
+        self._allowance = max_events - 1 if max_events is not None else _UNBOUNDED
         try:
             while queue or fifo:
                 if stop_event is not None and stop_event._triggered:
@@ -466,11 +531,18 @@ class Simulator:
                     # clock may advance.
                     fifo_pop()._fire()
                 fired += 1
-                if max_events is not None and fired >= max_events:
-                    raise SimulationError(f"exceeded max_events={max_events}")
+                if max_events is not None:
+                    total = fired + self.events_fired - base
+                    if total >= max_events:
+                        raise SimulationError(f"exceeded max_events={max_events}")
+                    # Advances during the next event each complete one
+                    # event: none may complete the max_events-th.
+                    self._allowance = max_events - total - 1
         finally:
             # One add per run() call, off the per-event path.
             self.events_fired += fired
+            self._horizon = _NEVER
+            self._stop = None
         stuck = [p for p in self._processes if p.is_alive and not p.daemon]
         if detect_deadlock and stuck:
             waiting = [p.name for p in stuck]

@@ -238,7 +238,6 @@ def build_programs(
     """One program per core, ISRs included where the platform needs them."""
     line_bytes = platform.config.line_bytes
     names = [cfg.name for cfg in platform.config.cores]
-    n_tasks = 2 if spec.scenario != "bcs" else 2  # lock ids stay stable
     lock = _make_lock(spec, n_tasks=max(2, len(names)))
     programs: Dict[str, Program] = {}
     for index, name in enumerate(names):

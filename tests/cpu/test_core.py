@@ -5,9 +5,10 @@ import pytest
 from repro.bus import AsbBus
 from repro.cache import CacheController, CacheGeometry, make_protocol
 from repro.cpu import Assembler, Core
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, SimulationError
 from repro.mem import MainMemory, MemoryController, MemoryMap, Region
 from repro.sim import Clock, Simulator
+from repro.workloads import MicrobenchSpec, run_microbench
 
 
 def make_core(freq_mhz=50, **core_kwargs):
@@ -305,3 +306,62 @@ class TestHaltAndInterrupts:
         sim, _memory, core = make_core()
         with pytest.raises(ExecutionError):
             core.start()
+
+
+class TestPinnedTiming:
+    """Figures the interpreter produced before ALU instructions and bus
+    phases advanced the clock in place; they must not move."""
+
+    def test_spin_loop_hits_max_events_where_it_always_did(self):
+        asm = Assembler()
+        asm.label("spin").jmp("spin")
+        sim, _memory, core = make_core()
+        core.load_program(asm.assemble())
+        core.start()
+        with pytest.raises(SimulationError, match="max_events=1000"):
+            sim.run(max_events=1000)
+        assert sim.events_fired == 1000
+        assert sim.now == 19_980
+
+    def test_fiq_during_a_long_alu_run_is_taken_at_the_same_tick(self):
+        asm = Assembler()
+        asm.li(1, 400)
+        asm.label("spin")
+        asm.subi(1, 1, 1)
+        asm.bne(1, 0, "spin")
+        asm.halt()
+        asm.isr("_isr")
+        asm.li(5, 42)
+        asm.rfi()
+        sim, _memory, core = make_core()
+        core.load_program(asm.assemble())
+        core.start()
+        seen = []
+        core.tracer.add_listener(
+            lambda r: seen.append((r.time, r.kind))
+            if r.kind in ("isr-enter", "isr-exit", "halt") else None
+        )
+
+        def poker():
+            # Asserted mid-instruction by another process: the core
+            # takes it at the first boundary after the response window.
+            yield sim.timeout(1010)
+            core.fiq.assert_line()
+            yield sim.timeout(200)
+            core.fiq.deassert()
+
+        sim.process(poker())
+        sim.run()
+        assert seen == [(1060, "isr-enter"), (1180, "isr-exit"), (16_200, "halt")]
+        assert (core.retired, sim.events_fired) == (804, 812)
+
+    def test_bcs_microbench_events_and_time(self):
+        result = run_microbench(
+            MicrobenchSpec(
+                scenario="bcs", solution="proposed", lines=32,
+                exec_time=1, iterations=8,
+            ),
+            keep_platform=True,
+        )
+        assert result.platform.sim.events_fired == 17_904
+        assert result.elapsed_ns == 286_260

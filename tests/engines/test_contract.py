@@ -104,6 +104,15 @@ class TestSurface:
         assert not any(key.startswith("bus.busy") for key in batch.stats)
         assert get_engine("batch").fingerprint()["native"] is False
 
+    def test_reference_workload_fires_the_pinned_event_count(self):
+        # The hotpath suite's full-size reference run.  Kernel fast
+        # paths (Simulator.advance included) count every event they
+        # skip, so the count is a property of the model, not the kernel.
+        result = get_engine("exact").run(
+            reference_config(), reference_workload(n=5000)
+        )
+        assert result.events == 44_006
+
 
 def _fuzz_case(config, access):
     # A fuzz case reports the refusal as its "error" outcome.

@@ -584,3 +584,152 @@ class TestRunUntilBoundaries:
         assert sim.run(until=5) == 5
         assert sim.now == 5
         assert fired == []
+
+
+class TestAdvance:
+    """``Simulator.advance`` moves the clock in place only when the
+    caller's own timeout would have fired next; every refusal leaves
+    the simulator untouched."""
+
+    def _probe(self, sim, delay, log, before=None):
+        """A process that waits ``delay`` after ``before`` the way the
+        model does, logging whether advance() took it in place."""
+
+        def proc():
+            if before is not None:
+                yield before
+            else:
+                yield sim.timeout(0)
+            now = sim.now
+            advanced = sim.advance(delay)
+            log.append((advanced, now, sim.now))
+            if not advanced:
+                yield sim.timeout(delay)
+
+        return sim.process(proc())
+
+    def test_empty_queue_advances_and_counts_one_event(self, sim):
+        log = []
+        self._probe(sim, 30, log)
+        sim.run()
+        assert log == [(True, 0, 30)]
+        # bootstrap, timeout(0), the advance, the process's own end
+        assert sim.events_fired == 4
+
+    def test_counts_match_the_timeout_it_replaces(self):
+        def run(use_advance):
+            sim = Simulator()
+
+            def ticker():
+                for _ in range(50):
+                    if not (use_advance and sim.advance(7)):
+                        yield sim.timeout(7)
+
+            def other():
+                for _ in range(9):
+                    yield sim.timeout(33)
+
+            sim.process(ticker())
+            sim.process(other())
+            sim.run()
+            return sim.now, sim.events_fired
+
+        assert run(True) == run(False) == (350, 63)
+
+    def test_heap_entry_at_the_same_tick_is_refused(self, sim):
+        log = []
+        sim.timeout(30)
+        self._probe(sim, 30, log)
+        sim.run()
+        assert log == [(False, 0, 0)]
+
+    def test_heap_entry_strictly_later_is_allowed(self, sim):
+        log = []
+        sim.timeout(31)
+        self._probe(sim, 30, log)
+        sim.run()
+        assert log == [(True, 0, 30)]
+
+    def test_queued_zero_delay_event_is_refused(self, sim):
+        log = []
+
+        def proc():
+            yield sim.timeout(0)
+            sim.event().succeed()
+            log.append(sim.advance(5))
+
+        sim.process(proc())
+        sim.run()
+        assert log == [False]
+
+    def test_until_itself_is_allowed(self, sim):
+        log = []
+        self._probe(sim, 10, log)
+        # run(until=10) fires a timeout due at 10, so it may be advanced to
+        sim.run(until=10, detect_deadlock=False)
+        assert log == [(True, 0, 10)]
+
+    def test_until_one_past_is_refused(self, sim):
+        log = []
+        self._probe(sim, 11, log)
+        sim.run(until=10, detect_deadlock=False)
+        assert log == [(False, 0, 0)]
+
+    def test_refused_outside_run(self, sim):
+        assert sim.advance(5) is False
+        sim.run()  # run() arms advance() only while it runs
+        assert sim.advance(5) is False
+        assert sim.now == 0
+        assert sim.events_fired == 0
+
+    def test_refused_under_step(self, sim):
+        log = []
+        sim.run()
+        self._probe(sim, 5, log)
+        while sim.peek() is not None:
+            sim.step()
+        assert log == [(False, 0, 0)]
+
+    def test_refused_after_the_stop_event_fired(self, sim):
+        log = []
+        stop = sim.timeout(4)
+        self._probe(sim, 5, log, before=stop)
+        assert sim.run(stop_event=stop) == 4
+        assert log == [(False, 4, 4)]
+
+    def test_refused_while_another_waiter_is_pending(self, sim):
+        log = []
+        gate = sim.timeout(3)
+        self._probe(sim, 10, log, before=gate)
+        self._probe(sim, 5, log, before=gate)
+        sim.run()
+        # the first waiter would run ahead of the second: refused; the
+        # last waiter has nothing left behind it at this tick
+        assert log == [(False, 3, 3), (True, 3, 8)]
+
+    def test_negative_delay_is_refused(self, sim):
+        log = []
+        self._probe(sim, -1, log)
+        # refused, so the caller's timeout(-1) reports the error
+        with pytest.raises(SimulationError, match="negative timeout"):
+            sim.run()
+        assert log == [(False, 0, 0)]
+
+    def test_max_events_budget(self):
+        def run(use_advance, budget):
+            sim = Simulator()
+
+            def ticker():
+                while True:
+                    if not (use_advance and sim.advance(10)):
+                        yield sim.timeout(10)
+
+            sim.process(ticker())
+            with pytest.raises(SimulationError, match="max_events"):
+                sim.run(max_events=budget)
+            return sim.now, sim.events_fired
+
+        for budget in (1, 2, 3, 50):
+            assert run(True, budget) == run(False, budget) == (
+                10 * (budget - 1), budget
+            )
