@@ -14,6 +14,9 @@ from .line import CacheLine, State
 
 __all__ = ["CacheGeometry", "CacheArray"]
 
+#: bound once: an enum member read through its class is slow per lookup
+_INVALID = State.INVALID
+
 
 def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
@@ -109,7 +112,7 @@ class CacheArray:
         if entry is None:
             return None
         line = entry[1]
-        if not line.is_valid:
+        if line.state is _INVALID:
             # Invalidated in place (snoop/drain race); treated as a miss
             # exactly like the way scan did.
             return None

@@ -41,6 +41,10 @@ from .protocols.base import CoherenceProtocol, WriteAction
 
 __all__ = ["CacheController"]
 
+#: a write hit that needs no bus; bound once, as an enum member read
+#: through its class is slow on the per-access path
+_SILENT = WriteAction.NONE
+
 
 class CacheController:
     """One processor's data cache plus its coherence machinery."""
@@ -74,11 +78,22 @@ class CacheController:
         # attribute load on the hot processor-access path.
         self._trace_mem = self.tracer.channel("mem")
         self._trace_cache = self.tracer.channel("cache")
-        # Hot stat keys, interned once instead of one f-string per access.
+        # Stat keys, interned once instead of one f-string per bump.
         self._stat_hits = f"{name}.hits"
         self._stat_read_misses = f"{name}.read_misses"
         self._stat_write_misses = f"{name}.write_misses"
         self._stat_fills = f"{name}.fills"
+        self._stat_uncached_reads = f"{name}.uncached_reads"
+        self._stat_uncached_writes = f"{name}.uncached_writes"
+        self._stat_write_throughs = f"{name}.write_throughs"
+        self._stat_upgrades = f"{name}.upgrades"
+        self._stat_upgrade_races = f"{name}.upgrade_races"
+        self._stat_updates = f"{name}.updates"
+        self._stat_writebacks = f"{name}.writebacks"
+        self._stat_evictions = f"{name}.evictions"
+        self._stat_flushes = f"{name}.flushes"
+        self._stat_drains = f"{name}.drains"
+        self._stat_drain_redirties = f"{name}.drain_redirties"
         self.enabled = enabled
         #: whether this cache participates in bus snooping (False models
         #: the ARM920T: a write-back cache with no coherence hardware)
@@ -113,17 +128,27 @@ class CacheController:
         if not (self.enabled and region.cacheable):
             value = yield from self._uncached_read(addr)
         else:
-            yield self.port.acquire()
+            port = self.port
+            yield port.acquire()
             try:
-                # The paper's retry-first semantics (Section 3): the
-                # processor transaction legitimately keeps the tag/data
-                # port across its bus tenure, and a concurrent snoop
-                # push ARTRYs and backs off.  The wait-cycle lint rule
-                # proves the drain-policy bypass keeps this acyclic.
-                # repro: lint-ok[hold-across-yield]
-                value = yield from self._cached_read(addr, region)
+                # A hit is served right here; only a miss runs a
+                # sub-generator (the fill).
+                line = self.array.lookup(addr, touch=True)
+                if line is not None:
+                    self.stats.bump(self._stat_hits)
+                else:
+                    self.stats.bump(self._stat_read_misses)
+                    # The paper's retry-first semantics (Section 3): the
+                    # processor transaction legitimately keeps the
+                    # tag/data port across its bus tenure, and a
+                    # concurrent snoop push ARTRYs and backs off.  The
+                    # wait-cycle lint rule proves the drain-policy
+                    # bypass keeps this acyclic.
+                    # repro: lint-ok[hold-across-yield]
+                    line = yield from self._fill(addr, region, exclusive=False)
+                value = line.data[self.geom.word_offset(addr)]
             finally:
-                self.port.release()
+                port.release()
         trace = self._trace_mem
         if trace.enabled:
             trace.emit(self.sim.now, self.name, "load", addr=addr, value=value)
@@ -140,15 +165,28 @@ class CacheController:
                 yield from self._transact(
                     Transaction(BusOp.WRITE, addr, self.name, data=value)
                 )
-                self.stats.bump(f"{self.name}.uncached_writes")
+                self.stats.bump(self._stat_uncached_writes)
         else:
-            yield self.port.acquire()
+            port = self.port
+            yield port.acquire()
             try:
-                # Retry-first port hold, as in read above.
-                # repro: lint-ok[hold-across-yield]
-                yield from self._cached_write(addr, value, region)
+                # A silent write hit completes here, as a read hit does.
+                line = self.array.lookup(addr, touch=True)
+                if line is None:
+                    # Retry-first port hold, as in read above.
+                    # repro: lint-ok[hold-across-yield]
+                    yield from self._write_miss(addr, value, region)
+                else:
+                    offset = self.geom.word_offset(addr)
+                    new_state, action = self._write_hit(addr, line, offset, value)
+                    if action is not _SILENT:
+                        # Retry-first port hold, as in read above.
+                        # repro: lint-ok[hold-across-yield]
+                        yield from self._write_hit_bus(
+                            addr, line, offset, value, new_state, action
+                        )
             finally:
-                self.port.release()
+                port.release()
         trace = self._trace_mem
         if trace.enabled:
             trace.emit(self.sim.now, self.name, "store", addr=addr, value=value)
@@ -200,7 +238,7 @@ class CacheController:
                     ),
                     commit=commit,
                 )
-                self.stats.bump(f"{self.name}.writebacks")
+                self.stats.bump(self._stat_writebacks)
         finally:
             self.port.release()
 
@@ -298,7 +336,7 @@ class CacheController:
             if not line.is_valid:
                 return
             if tuple(line.data) != snapshot:
-                self.stats.bump(f"{self.name}.drain_redirties")
+                self.stats.bump(self._stat_drain_redirties)
                 return
             self._apply_snoop_state(base, line, next_state)
 
@@ -310,7 +348,7 @@ class CacheController:
             priority=Priority.DRAIN,
             commit=commit,
         )
-        self.stats.bump(f"{self.name}.drains")
+        self.stats.bump(self._stat_drains)
 
     # ------------------------------------------------------------------
     # internals
@@ -321,7 +359,7 @@ class CacheController:
             # Tightly-coupled register (coprocessor-style): no bus tenure.
             return device.read_word(addr)
         result = yield from self._transact(Transaction(BusOp.READ, addr, self.name))
-        self.stats.bump(f"{self.name}.uncached_reads")
+        self.stats.bump(self._stat_uncached_reads)
         return result.data
 
     def _local_device(self, addr: int):
@@ -330,52 +368,54 @@ class CacheController:
             return device
         return None
 
-    def _cached_read(self, addr: int, region) -> Generator:
-        line = self.array.lookup(addr, touch=True)
-        if line is not None:
-            self.stats.bump(self._stat_hits)
-            return line.data[self.geom.word_offset(addr)]
-        self.stats.bump(self._stat_read_misses)
-        line = yield from self._fill(addr, region, exclusive=False)
-        return line.data[self.geom.word_offset(addr)]
-
-    def _cached_write(self, addr: int, value: int, region) -> Generator:
+    def _write_miss(self, addr: int, value: int, region) -> Generator:
+        """A write miss (the caller looked the line up and found none)."""
         offset = self.geom.word_offset(addr)
-        line = self.array.lookup(addr, touch=True)
-        if line is not None:
-            yield from self._write_hit(addr, line, offset, value)
-            return
         self.stats.bump(self._stat_write_misses)
         protocol = self._protocol_for(region)
         if State.MODIFIED not in protocol.states:
             # Write-through, no-allocate: the word goes straight out.
             yield from self._transact(Transaction(BusOp.WRITE, addr, self.name, data=value))
-            self.stats.bump(f"{self.name}.write_throughs")
+            self.stats.bump(self._stat_write_throughs)
             return
         if getattr(protocol, "update_based", False):
             # Update protocols have no RWITM: fill shared, then write
             # (which broadcasts when sharers exist).
             line = yield from self._fill(addr, region, exclusive=False)
-            yield from self._write_hit(addr, line, offset, value)
+            new_state, action = self._write_hit(addr, line, offset, value)
+            if action is not _SILENT:
+                yield from self._write_hit_bus(addr, line, offset, value, new_state, action)
             return
         line = yield from self._fill(addr, region, exclusive=True)
         line.data[offset] = value
         if line.state is not State.MODIFIED:  # defensive; RWITM fills M
             line.state = State.MODIFIED
 
-    def _write_hit(self, addr: int, line: CacheLine, offset: int, value: int) -> Generator:
+    def _write_hit(
+        self, addr: int, line: CacheLine, offset: int, value: int
+    ) -> Tuple[State, WriteAction]:
+        """Count a write hit and ask the line's protocol what it costs.
+
+        A silent hit (``WriteAction.NONE``) stores the word here; any
+        other action is owed to :meth:`_write_hit_bus`.
+        """
         self.stats.bump(self._stat_hits)
         new_state, action = line.protocol.write_hit(line.state)
-        if action is WriteAction.NONE:
-            base = self.geom.line_base(addr)
+        if action is _SILENT:
             if line.state is not new_state:
-                self._set_state(base, line, new_state, "write-hit")
+                self._set_state(self.geom.line_base(addr), line, new_state, "write-hit")
             line.data[offset] = value
-            return
+        return new_state, action
+
+    def _write_hit_bus(
+        self, addr: int, line: CacheLine, offset: int, value: int,
+        new_state: State, action: WriteAction,
+    ) -> Generator:
+        """The bus work a non-silent write hit owes."""
         if action is WriteAction.WRITE_THROUGH:
             line.data[offset] = value
             yield from self._transact(Transaction(BusOp.WRITE, addr, self.name, data=value))
-            self.stats.bump(f"{self.name}.write_throughs")
+            self.stats.bump(self._stat_write_throughs)
             return
         if action is WriteAction.UPDATE:
             # Dragon-style broadcast: patch sharers, then settle between
@@ -402,11 +442,11 @@ class CacheController:
             # the hardware's lost-upgrade-to-RWITM conversion.
             validate=lambda: line.is_valid,
         )
-        self.stats.bump(f"{self.name}.upgrades")
+        self.stats.bump(self._stat_upgrades)
         if not upgraded:
             # The line was snatched (invalidated by a competing RWITM)
             # between our decision and our bus grant: redo as a miss.
-            self.stats.bump(f"{self.name}.upgrade_races")
+            self.stats.bump(self._stat_upgrade_races)
             region = self.map.find(addr)
             line = yield from self._fill(addr, region, exclusive=True)
             line.data[offset] = value
@@ -426,12 +466,13 @@ class CacheController:
         yield from self._transact(
             Transaction(BusOp.UPDATE, addr, self.name, data=value), commit=commit
         )
-        self.stats.bump(f"{self.name}.updates")
+        self.stats.bump(self._stat_updates)
         if not done:
-            # The line vanished (snooped away) mid-broadcast: redo as a
-            # plain miss-and-write.
+            # The line vanished (snooped away) mid-broadcast, and only
+            # a fill under this held port could bring it back: redo as
+            # a plain miss-and-write.
             region = self.map.find(addr)
-            yield from self._cached_write(addr, value, region)
+            yield from self._write_miss(addr, value, region)
 
     def _fill(self, addr: int, region, exclusive: bool) -> Generator:
         """Fetch the line for ``addr``; returns the installed CacheLine."""
@@ -484,7 +525,7 @@ class CacheController:
                 ),
                 commit=commit,
             )
-            self.stats.bump(f"{self.name}.writebacks")
+            self.stats.bump(self._stat_writebacks)
             if victim.is_valid:
                 # A concurrent drain beat us to the state change; the way
                 # may already be empty — make sure it is.
@@ -493,7 +534,7 @@ class CacheController:
             victim.state = State.INVALID
             self._set_removed(victim_addr, way)
             self._notify_remove(victim_addr, "evict")
-        self.stats.bump(f"{self.name}.evictions")
+        self.stats.bump(self._stat_evictions)
 
     def _set_removed(self, victim_addr: int, way: int) -> None:
         self.array.release_way(victim_addr, way)
@@ -518,11 +559,11 @@ class CacheController:
                 priority=priority,
                 commit=commit,
             )
-            self.stats.bump(f"{self.name}.writebacks")
+            self.stats.bump(self._stat_writebacks)
         else:
             self.array.remove(base)
             self._notify_remove(base, "dcbf")
-        self.stats.bump(f"{self.name}.flushes")
+        self.stats.bump(self._stat_flushes)
 
     def _apply_snoop_state(self, base: int, line: CacheLine, next_state: State) -> None:
         if next_state is State.INVALID:

@@ -131,8 +131,11 @@ class MemoryMap:
     def find(self, addr: int) -> Region:
         """The region containing ``addr``; raises when unmapped."""
         index = bisect.bisect_right(self._bases, addr) - 1
-        if index >= 0 and self._regions[index].contains(addr):
-            return self._regions[index]
+        if index >= 0:
+            # Region.contains inlined: every processor access lands here.
+            region = self._regions[index]
+            if addr < region.base + region.size:
+                return region
         raise MemoryError_(f"unmapped address 0x{addr:08x}")
 
     def lookup(self, addr: int) -> Optional[Region]:

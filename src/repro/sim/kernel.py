@@ -228,59 +228,45 @@ class Process(Event):
             except ValueError:
                 pass
         self._waiting_on = None
+        # A failed wake throws the Interrupt in through _resume, which
+        # ignores it if the process has finished by then.
         wake = Event(self.sim)
-        wake.add_callback(lambda _e: self._throw(Interrupt(cause)))
-        wake.succeed()
+        wake.add_callback(self._resume)
+        wake.fail(Interrupt(cause))
 
     # -- driving ----------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        if self._triggered or self._scheduled:  # pragma: no cover - defensive
+        if self._triggered or self._scheduled:
             return
         self._waiting_on = None
-        # Advance the generator directly — no per-step closure.  This
-        # runs once per event a process waits on, so the lambda that
-        # used to wrap send/throw was pure allocation overhead.
-        try:
-            if event._ok:
-                target = self.generator.send(event.value)
-            else:
-                target = self.generator.throw(event.value)
-        except StopIteration as stop:
-            self._trigger(stop.value, ok=True)
-            return
-        except BaseException as exc:
-            if self._callbacks:
-                self._trigger(exc, ok=False)
+        generator = self.generator
+        # Events that already fired (a finished process, a mutex grant
+        # taken in place) resume the generator in this loop, not by
+        # recursion, so any number of them in a row costs no stack.
+        while True:
+            try:
+                if event._ok:
+                    target = generator.send(event.value)
+                else:
+                    target = generator.throw(event.value)
+            except StopIteration as stop:
+                self._trigger(stop.value, ok=True)
                 return
-            raise
-        self._wait_on(target)
-
-    def _throw(self, exc: BaseException) -> None:
-        if not self.is_alive:
-            return
-        try:
-            target = self.generator.throw(exc)
-        except StopIteration as stop:
-            self._trigger(stop.value, ok=True)
-            return
-        except BaseException as raised:
-            if self._callbacks:
-                self._trigger(raised, ok=False)
+            except BaseException as exc:
+                if self._callbacks:
+                    self._trigger(exc, ok=False)
+                    return
+                raise
+            if not isinstance(target, Event):
+                raise SimulationError(
+                    f"process {self.name!r} yielded {target!r}; processes must "
+                    "yield Event instances (use sim.timeout / sim.event)"
+                )
+            if not target._triggered:
+                self._waiting_on = target
+                target._callbacks.append(self._resume)
                 return
-            raise
-        self._wait_on(target)
-
-    def _wait_on(self, target: Any) -> None:
-        if not isinstance(target, Event):
-            raise SimulationError(
-                f"process {self.name!r} yielded {target!r}; processes must "
-                "yield Event instances (use sim.timeout / sim.event)"
-            )
-        if target._triggered:
-            self._resume(target)
-        else:
-            self._waiting_on = target
-            target._callbacks.append(self._resume)
+            event = target
 
 
 class AllOf(Event):

@@ -26,6 +26,13 @@ class Mutex:
             ...
         finally:
             mutex.release()
+
+    A free lock is granted in place when ``sim.advance(0)`` says the
+    grant would be the next event run() fires anyway: the returned
+    event has already fired (and counts as one fired event), so the
+    process resumes without a trip through the event queue.  Otherwise
+    (a held lock, other work due at this tick, outside run()) the grant
+    is queued as usual.
     """
 
     def __init__(self, sim: Simulator, name: str = "mutex"):
@@ -48,11 +55,16 @@ class Mutex:
 
     def acquire(self) -> Event:
         """An event that fires when the caller holds the lock."""
-        grant = self.sim.event()
+        sim = self.sim
+        grant = Event(sim)
         if self._holder is None:
             self._holder = grant
             self.acquisitions += 1
-            grant.succeed()
+            if sim.advance(0):
+                # Fired in place: advance() counted it, nobody waits on it.
+                grant._scheduled = grant._triggered = True
+            else:
+                grant.succeed()
         else:
             self.contentions += 1
             self._waiters.append(grant)

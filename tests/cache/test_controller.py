@@ -102,6 +102,30 @@ class TestReads:
         assert controller.array.occupancy() == 0
         assert bus.stats.get("cpu0.uncached_reads") == 1
 
+    def test_read_hit_queues_behind_a_drain_holding_the_port(self):
+        sim, _memory, _bus, controller = make_setup()
+        run(sim, controller.write(0x100, 9))  # dirty line to drain
+        run(sim, controller.read(0x140))  # the line the read will hit
+        assert (sim.now, sim.events_fired) == (600, 12)
+        log = []
+
+        def drainer():
+            yield from controller.drain_line(0x100, State.SHARED)
+            log.append(("drained", sim.now))
+
+        def reader():
+            yield sim.timeout(1)  # the drain holds the port by now
+            value = yield from controller.read(0x144)
+            log.append(("read", sim.now, value))
+
+        sim.process(drainer())
+        sim.process(reader())
+        sim.run()
+        assert log == [("drained", 880), ("read", 880, 0)]
+        assert (sim.now, sim.events_fired) == (880, 22)
+        assert (controller.port.acquisitions, controller.port.contentions) == (4, 1)
+        assert controller.stats.get("cpu0.hits") == 1
+
 
 class TestWrites:
     def test_write_miss_fills_modified(self):

@@ -23,11 +23,18 @@ from repro.engines import (
     get_engine,
     reference_config,
     reference_workload,
+    serialize_traces,
 )
 from repro.errors import ConfigError
 from repro.exp.cache import DEFAULT_ENGINE
 from repro.fuzz.case import FuzzCase, run_case
-from repro.workloads.tracegen import TraceAccess, replay_parallel, replay_trace
+from repro.workloads.tracegen import (
+    TraceAccess,
+    drive,
+    hotspot_trace,
+    replay_parallel,
+    replay_trace,
+)
 
 
 class TestRegistry:
@@ -112,6 +119,28 @@ class TestSurface:
             reference_config(), reference_workload(n=5000)
         )
         assert result.events == 44_006
+
+    def test_private_hit_trace_fires_the_pinned_events_and_grants(self):
+        # Two MESI masters over private footprints that fit their
+        # caches: about one port grant per access, nearly all taken in
+        # place, and every one still counted as an event.
+        def core(i):
+            return preset_generic(f"p{i}", "MESI").with_(
+                cache_size=4096, cache_ways=4
+            )
+
+        platform = Platform(PlatformConfig(cores=(core(0), core(1))))
+        accesses = serialize_traces({
+            p: hotspot_trace(32000, 768, proc=p, base=SHARED_BASE + p * 0x1000,
+                             seed=16 + p)
+            for p in range(2)
+        })
+        platform.sim.process(drive(platform, accesses))
+        platform.sim.run(detect_deadlock=False)
+        assert (platform.sim.events_fired, platform.sim.now) == (64_580, 57_600)
+        assert [
+            (c.port.acquisitions, c.port.contentions) for c in platform.controllers
+        ] == [(32_000, 0), (32_000, 0)]
 
 
 def _fuzz_case(config, access):

@@ -276,6 +276,63 @@ class TestProcess:
         assert not p.is_alive
 
 
+class TestAlreadyFiredEvents:
+    """A yielded event that already fired resumes the process at once,
+    in a loop: any number of them in a row costs no stack."""
+
+    def test_five_thousand_fired_yields_in_a_row(self, sim):
+        fired = sim.event()
+        fired.succeed("ok")
+
+        def proc():
+            yield sim.timeout(0)  # let ``fired`` fire first
+            got = []
+            for _ in range(5000):
+                got.append((yield fired))
+            return len(got), got[-1], sim.now
+
+        p = sim.process(proc())
+        sim.run()
+        assert p.value == (5000, "ok", 0)
+
+    def test_interrupt_handler_yielding_fired_events(self, sim):
+        fired = sim.event()
+        fired.succeed()
+
+        def victim():
+            try:
+                yield sim.timeout(100)
+            except Interrupt as intr:
+                for _ in range(5000):
+                    yield fired
+                return intr.cause, sim.now
+
+        p = sim.process(victim())
+
+        def interrupter():
+            yield sim.timeout(5)
+            p.interrupt("wake")
+
+        sim.process(interrupter())
+        sim.run()
+        assert p.value == ("wake", 5)
+
+    def test_failed_fired_event_is_thrown_in(self, sim):
+        failed = sim.event()
+        failed.fail(ValueError("boom"))
+
+        def proc():
+            yield sim.timeout(0)
+            try:
+                yield failed
+            except ValueError as exc:
+                return str(exc)
+
+        p = sim.process(proc())
+        sim.run()
+        assert p.value == "boom"
+
+
 class TestCombinators:
     def test_all_of_collects_values(self, sim):
         def worker(n):
