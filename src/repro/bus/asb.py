@@ -41,7 +41,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..mem.controller import MemoryController
 from .arbiter import Arbiter, FixedPriorityArbiter
 from .types import (
-    BusOp, BusResult, Priority, SnoopAction, SnoopReply, Transaction, resolve_window,
+    OP_STAT_KEYS, BusOp, BusResult, Priority, SnoopAction, SnoopReply, Transaction,
+    master_stat_key, resolve_window,
 )
 
 __all__ = ["AsbBus", "Snooper", "TenureState"]
@@ -248,8 +249,8 @@ class AsbBus:
         sim = self.sim
         start = sim.now
         self.stats.bump("bus.txns")
-        self.stats.bump(f"bus.op.{txn.op.value}")
-        self.stats.bump(f"bus.master.{txn.master}")
+        self.stats.bump(OP_STAT_KEYS[txn.op])
+        self.stats.bump(master_stat_key(txn.master))
         state = TenureState(txn.master, txn.op.value, txn.addr, start)
         self._inflight[id(txn)] = state
         arbiter = self._arbiter_for(txn.addr)

@@ -27,12 +27,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from functools import lru_cache
 from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from ..errors import BusError
 
 __all__ = [
     "BusOp",
+    "OP_STAT_KEYS",
+    "master_stat_key",
     "Priority",
     "Transaction",
     "SnoopAction",
@@ -68,6 +71,16 @@ class BusOp(Enum):
     def writes_memory(self) -> bool:
         """True when the transaction updates main memory."""
         return self in (BusOp.WRITE, BusOp.WRITE_LINE, BusOp.SWAP)
+
+
+#: the per-operation bus counter, interned once (bumped once per tenure)
+OP_STAT_KEYS = {op: "bus.op." + op.value for op in BusOp}
+
+
+@lru_cache(maxsize=256)
+def master_stat_key(master: str) -> str:
+    """The per-master bus counter, ``bus.master.<name>``, interned."""
+    return "bus.master." + master
 
 
 class Priority(IntEnum):

@@ -8,10 +8,10 @@ a coherence-protocol FSM and the shared bus:
   DCBF-style drain, ``invalidate_line`` == DCBI, ``writeback_line`` ==
   DCBST);
 * **snoop side** — :meth:`snoop_decision` runs a snooped operation
-  through the line's coherence step (:mod:`repro.core.coherence`, the
-  native FSM behind the wrapper policy) and either commits the
-  transition immediately (the bus is held, so this is race-free) or
-  reports that a drain is required, which the wrapper then schedules;
+  through the line's coherence step (:func:`~repro.core.coherence.snoop_step`)
+  and either commits the transition immediately (the bus is held, so this
+  is race-free) or reports that a drain is required, which the wrapper
+  then schedules;
 * **drain side** — :meth:`drain_line` performs the snoop push at DRAIN
   bus priority.
 
@@ -30,7 +30,7 @@ from typing import Callable, Generator, List, Optional, Tuple
 
 from ..bus.asb import AsbBus
 from ..bus.types import BusOp, Priority, SnoopAction, Transaction
-from ..core.coherence import MISS, Outcome, step_for
+from ..core.coherence import MISS, CoherenceStep, Outcome, WriteMiss, snoop_step, step_for
 from ..core.reduction import WrapperPolicy
 from ..errors import ProtocolError
 from ..mem.map import MemoryMap, WritePolicy
@@ -98,8 +98,6 @@ class CacheController:
         #: whether this cache participates in bus snooping (False models
         #: the ARM920T: a write-back cache with no coherence hardware)
         self.coherent = coherent
-        #: the wrapper policy this controller's snoops and fills run
-        #: under (identity without a wrapper)
         self.policy = WrapperPolicy()
         #: listeners for TAG CAM mirroring: f(line_base_addr)
         self.install_listeners: List[Callable[[int], None]] = []
@@ -113,6 +111,23 @@ class CacheController:
         #: the port holder (how N-master shared-bus parts avoid the
         #: cross-drain deadlock).
         self.drain_needs_port = drain_needs_port
+
+    @property
+    def policy(self) -> WrapperPolicy:
+        """The wrapper policy snoops and fills run under (identity without one)."""
+        return self._policy
+
+    @policy.setter
+    def policy(self, policy: WrapperPolicy) -> None:
+        # Each line protocol's step under the new policy, built on demand.
+        self._policy, self._steps = policy, {}
+
+    def _step(self, protocol: CoherenceProtocol) -> CoherenceStep:
+        """``protocol``'s coherence step under this controller's policy."""
+        step = self._steps.get(protocol)
+        if step is None:
+            step = self._steps[protocol] = step_for(protocol, self._policy)
+        return step
 
     # ------------------------------------------------------------------
     # processor side
@@ -272,15 +287,10 @@ class CacheController:
         line = self.array.lookup(base)
         if line is None:
             return MISS, None
-        step = step_for(line.protocol, self.policy)
-        outcome = step.outcome(txn.op, line.state, self.name)
-        if outcome.apply_update:
-            line.data[self.geom.word_offset(txn.addr)] = txn.data
-        if outcome.action is SnoopAction.RETRY:
-            # Commit is deferred to drain_line(); the master sees ARTRY.
-            return outcome, None
+        # On RETRY the commit waits for drain_line(); the master sees ARTRY.
+        view = ((base, line), self._step(line.protocol), line.state, line.data, self.name)
+        outcome = snoop_step(view, txn.op, txn.addr, txn.data, self._commit_snoop)
         data = list(line.data) if outcome.action is SnoopAction.SUPPLY else None
-        self._apply_snoop_state(base, line, outcome.next_state)
         return outcome, data
 
     # ------------------------------------------------------------------
@@ -372,15 +382,13 @@ class CacheController:
         """A write miss (the caller looked the line up and found none)."""
         offset = self.geom.word_offset(addr)
         self.stats.bump(self._stat_write_misses)
-        protocol = self._protocol_for(region)
-        if State.MODIFIED not in protocol.states:
-            # Write-through, no-allocate: the word goes straight out.
+        kind = self._step(self._protocol_for(region)).write_miss
+        if kind is WriteMiss.NO_ALLOCATE:
             yield from self._transact(Transaction(BusOp.WRITE, addr, self.name, data=value))
             self.stats.bump(self._stat_write_throughs)
             return
-        if getattr(protocol, "update_based", False):
-            # Update protocols have no RWITM: fill shared, then write
-            # (which broadcasts when sharers exist).
+        if kind is WriteMiss.FILL_SHARED:
+            # The write broadcasts when sharers exist.
             line = yield from self._fill(addr, region, exclusive=False)
             new_state, action = self._write_hit(addr, line, offset, value)
             if action is not _SILENT:
@@ -388,19 +396,18 @@ class CacheController:
             return
         line = yield from self._fill(addr, region, exclusive=True)
         line.data[offset] = value
-        if line.state is not State.MODIFIED:  # defensive; RWITM fills M
-            line.state = State.MODIFIED
+        line.state = State.MODIFIED  # defensive; RWITM fills M
 
     def _write_hit(
         self, addr: int, line: CacheLine, offset: int, value: int
     ) -> Tuple[State, WriteAction]:
-        """Count a write hit and ask the line's protocol what it costs.
+        """Count a write hit and look up what it costs in its step's table.
 
         A silent hit (``WriteAction.NONE``) stores the word here; any
         other action is owed to :meth:`_write_hit_bus`.
         """
         self.stats.bump(self._stat_hits)
-        new_state, action = line.protocol.write_hit(line.state)
+        new_state, action = self._step(line.protocol).write_hit_for(line.state)
         if action is _SILENT:
             if line.state is not new_state:
                 self._set_state(self.geom.line_base(addr), line, new_state, "write-hit")
@@ -485,8 +492,8 @@ class CacheController:
         installed: List[CacheLine] = []
 
         def commit(result):
-            step = step_for(protocol, self.policy)
-            state = step.fill(exclusive, result.shared)
+            step = self._step(protocol)
+            state = step.fill_for(exclusive, result.shared)
             line = self.array.install(base, way, result.data, state, protocol)
             installed.append(line)
             self._notify_install(base)
@@ -564,6 +571,9 @@ class CacheController:
             self.array.remove(base)
             self._notify_remove(base, "dcbf")
         self.stats.bump(self._stat_flushes)
+
+    def _commit_snoop(self, held: Tuple[int, CacheLine], next_state: State) -> None:
+        self._apply_snoop_state(*held, next_state)
 
     def _apply_snoop_state(self, base: int, line: CacheLine, next_state: State) -> None:
         if next_state is State.INVALID:

@@ -43,6 +43,7 @@ from enum import Enum
 from typing import Optional, Sequence, Tuple
 
 from ..cache.line import State
+from ..cache.protocols import PROTOCOLS
 from ..errors import IntegrationError
 
 __all__ = ["SharedMode", "WrapperPolicy", "ReductionResult", "reduce_protocols",
@@ -87,15 +88,9 @@ class WrapperPolicy:
 
 IDENTITY = WrapperPolicy()
 
-#: the state sets of the four integrable protocols (Table in Section 2)
-PROTOCOL_STATES = {
-    "MEI": frozenset({State.MODIFIED, State.EXCLUSIVE, State.INVALID}),
-    "MSI": frozenset({State.MODIFIED, State.SHARED, State.INVALID}),
-    "MESI": frozenset({State.MODIFIED, State.EXCLUSIVE, State.SHARED, State.INVALID}),
-    "MOESI": frozenset(
-        {State.MODIFIED, State.OWNED, State.EXCLUSIVE, State.SHARED, State.INVALID}
-    ),
-}
+#: the state sets of the four integrable protocols (Table in Section 2),
+#: as their FSMs declare them
+PROTOCOL_STATES = {name: PROTOCOLS[name].states for name in ("MEI", "MSI", "MESI", "MOESI")}
 
 _BY_STATES = {states: name for name, states in PROTOCOL_STATES.items()}
 

@@ -16,12 +16,14 @@ and checks three safety properties in every state:
 * **no lost data** — the only fresh copy is never silently dropped.
 
 The transition semantics call :mod:`repro.core.coherence`, the same
-coherence step the simulator executes: each protocol FSM behind its
-:class:`WrapperPolicy` (read-to-write conversion on the snoop path,
-shared-signal forcing on the fill path, drain-before-data for dirty
-snoop hits) and the bus's window resolution and ARTRY loop.  Checking
-a configuration therefore validates the reduction policy itself,
-exhaustively:
+code the simulator executes: each protocol FSM behind its
+:class:`WrapperPolicy` as the eager snoop, write-hit and fill tables
+(read-to-write conversion on the snoop path, shared-signal forcing on
+the fill path, drain-before-data for dirty snoop hits), the write-miss
+rule, and the untimed ARTRY window
+:func:`~repro.core.coherence.run_window` the batch engine runs too.
+Checking a configuration therefore validates the reduction policy
+itself, exhaustively:
 
 >>> check_pair("MESI", "MEI").ok                   # wrapped: safe
 True
@@ -52,13 +54,12 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..bus.types import BusOp, SnoopAction
+from ..bus.types import BusOp
 from ..cache.line import State
 from ..cache.protocols import make_protocol
 from ..cache.protocols.base import WriteAction
-from ..core.coherence import resolve_window, step_for
+from ..core.coherence import WriteMiss, run_window, step_for
 from ..core.reduction import WrapperPolicy, reduce_protocols
-from ..errors import ProtocolError
 
 __all__ = [
     "ModelState",
@@ -157,6 +158,71 @@ class CheckResult:
         return "\n".join(lines)
 
 
+class _Scratch:
+    """One event's mutable copy of a :class:`ModelState`.
+
+    ``holders``/``commit``/``drain`` are its snooper view for
+    :func:`~repro.core.coherence.run_window`: a snooper is ``(index,
+    fresh)``, its freshness captured when snooped (a supplier that
+    invalidates loses it at commit).
+    """
+
+    __slots__ = ("steps", "states", "fresh", "present", "mem_fresh")
+
+    def __init__(self, steps, model: ModelState, directory: bool):
+        self.steps = steps
+        self.states = list(model.states)
+        self.fresh = list(model.fresh)
+        self.present = list(model.present) if directory else None
+        self.mem_fresh = model.mem_fresh
+
+    def freeze(self) -> ModelState:
+        present = tuple(self.present or ())
+        return ModelState(tuple(self.states), tuple(self.fresh), self.mem_fresh, present)
+
+    def enter(self, index: int, state: State) -> None:
+        """Move one copy to ``state``; leaving drops freshness and the sharer bit."""
+        self.states[index] = state
+        if state is State.INVALID:
+            self.fresh[index] = False
+            if self.present is not None:
+                self.present[index] = False  # remove listener
+
+    def fill(self, index: int, state: State) -> None:
+        self.states[index] = state
+        if self.present is not None:
+            self.present[index] = True  # install listener: line filled
+
+    def holders(self, _addr, actor):
+        states, fresh, present = self.states, self.fresh, self.present
+        return [
+            ((index, fresh[index]), step, states[index], None, f"P{index}")
+            for index, step in enumerate(self.steps)
+            if index != actor and states[index] is not State.INVALID
+            and (present is None or present[index])
+        ]
+
+    def commit(self, who, state: State) -> None:
+        self.enter(who[0], state)
+
+    def drain(self, who, state: State) -> None:
+        self.mem_fresh = self.fresh[who[0]]  # dirty copy pushed to memory
+        self.enter(who[0], state)
+
+    def snoop(self, op: BusOp, actor: int) -> Tuple[Optional[bool], bool]:
+        """Run one bus operation's window; ``(supplied_fresh, shared)``.
+
+        Valid non-acting caches (in directory mode, only those present)
+        answer in index order; ``supplied_fresh`` is None when memory
+        supplies.  A safe configuration has at most one owner, so the
+        supplier choice cannot matter.
+        """
+        shared, supplier, _retried = run_window(
+            op, 0, None, actor, self.holders, self.commit, self.drain
+        )
+        return (None if supplier is None else supplier[0][1]), shared
+
+
 class _SystemModel:
     """Transition function for N protocol FSMs under wrapper policies.
 
@@ -175,72 +241,11 @@ class _SystemModel:
         policies: Sequence[WrapperPolicy],
         directory: bool = False,
     ):
-        self.protocols = tuple(make_protocol(name) for name in names)
         self.steps = tuple(
-            step_for(protocol, policy)
-            for protocol, policy in zip(self.protocols, policies)
+            step_for(make_protocol(name), policy)
+            for name, policy in zip(names, policies)
         )
-        self.n = len(self.protocols)
         self.directory = directory
-
-    @staticmethod
-    def _enter(states, fresh, present, index, state) -> None:
-        """Move one copy to ``state``; leaving drops freshness and the sharer bit."""
-        states[index] = state
-        if state is State.INVALID:
-            fresh[index] = False
-            if present is not None:
-                present[index] = False  # remove listener
-
-    def _snoop(self, states, fresh, mem_fresh, actor, op, present=None):
-        """Run one bus operation's snoop window to completion.
-
-        The bus's ARTRY loop: every valid non-acting cache answers the
-        window in ascending index order (the combinational address
-        phase) through its coherence step.  Non-drain outcomes commit
-        at once; if any cache drains, the dirty copies are pushed to
-        memory and the window re-runs against the post-drain states.
-        :func:`resolve_window` then gives the wired-OR SHARED and the
-        first supplier.  On a safe configuration at most one cache owns
-        the line, so the supplier choice cannot matter; on an unsafe
-        one any choice yields a witness.  One re-run suffices for a
-        sound FSM, so a second ARTRY means a defective one and raises
-        :class:`~repro.errors.ProtocolError` rather than spinning.
-
-        Returns ``(mem_fresh, supplied_fresh, shared)``, where
-        ``supplied_fresh`` is the freshness of cache-to-cache data (None
-        when memory supplies).  Broadcast by default; with ``present``
-        (directory mode) only caches whose presence bit is set are
-        consulted, exactly the presence-filtered window every fabric
-        runs.  A valid-but-absent cache is *not* patched over here: the
-        explorer surfaces it as a ``dir-miss`` violation, since the
-        filtered window would lose the invalidation.
-        """
-        for attempt in range(2):
-            window = []
-            for snooper in range(self.n):
-                state = states[snooper]
-                if snooper == actor or state is State.INVALID:
-                    continue
-                if present is not None and not present[snooper]:
-                    continue
-                outcome = self.steps[snooper].outcome(op, state, f"P{snooper}")
-                window.append(((snooper, fresh[snooper]), outcome))
-                if outcome.action is not SnoopAction.RETRY:
-                    self._enter(states, fresh, present, snooper, outcome.next_state)
-            retriers, shared, supplier = resolve_window(window)
-            if not retriers:
-                supplied_fresh = None if supplier is None else supplier[0][1]
-                return mem_fresh, supplied_fresh, shared
-            if attempt:
-                (snooper, _fresh), _outcome = retriers[0]
-                raise ProtocolError(
-                    f"P{snooper}: {self.protocols[snooper].name} demanded a second "
-                    f"drain from {states[snooper]} on {op.value}"
-                )
-            for (snooper, _fresh), outcome in retriers:
-                mem_fresh = fresh[snooper]  # dirty copy pushed to memory
-                self._enter(states, fresh, present, snooper, outcome.next_state)
 
     # -- events --------------------------------------------------------------
     def step(self, model: ModelState, event: str) -> Tuple[ModelState, Optional[str]]:
@@ -253,103 +258,66 @@ class _SystemModel:
             return self._write(model, actor)
         return self._evict(model, actor)
 
-    def _present_list(self, model: ModelState):
-        return list(model.present) if self.directory else None
-
-    @staticmethod
-    def _pack_present(present) -> Tuple[bool, ...]:
-        return tuple(present) if present is not None else ()
-
     def _read(self, model: ModelState, actor: int):
-        states = list(model.states)
-        fresh = list(model.fresh)
-        present = self._present_list(model)
-        mem_fresh = model.mem_fresh
-        if states[actor] is not State.INVALID:
+        if model.states[actor] is not State.INVALID:
             # Hit: returns the cached copy — a stale copy is the bug.
-            violation = None if fresh[actor] else "stale-read"
-            return model, violation
-        mem_fresh, supplied_fresh, shared = self._snoop(
-            states, fresh, mem_fresh, actor, BusOp.READ_LINE, present
-        )
-        states[actor] = self.steps[actor].fill(False, shared)
-        if present is not None:
-            present[actor] = True  # install listener: line filled
-        source_fresh = supplied_fresh if supplied_fresh is not None else mem_fresh
-        fresh[actor] = source_fresh
-        next_model = ModelState(
-            tuple(states), tuple(fresh), mem_fresh, self._pack_present(present)
-        )
-        return next_model, None if source_fresh else "stale-read"
+            return model, None if model.fresh[actor] else "stale-read"
+        nxt = _Scratch(self.steps, model, self.directory)
+        supplied_fresh, shared = nxt.snoop(BusOp.READ_LINE, actor)
+        nxt.fill(actor, self.steps[actor].fill_for(False, shared))
+        source_fresh = supplied_fresh if supplied_fresh is not None else nxt.mem_fresh
+        nxt.fresh[actor] = source_fresh
+        return nxt.freeze(), None if source_fresh else "stale-read"
 
     def _write(self, model: ModelState, actor: int):
-        states = list(model.states)
-        fresh = list(model.fresh)
-        present = self._present_list(model)
-        mem_fresh = model.mem_fresh
+        nxt = _Scratch(self.steps, model, self.directory)
+        states = nxt.states
+        step = self.steps[actor]
         write_through = False
         if states[actor] is State.INVALID:
-            if State.MODIFIED not in self.protocols[actor].states:
+            if step.write_miss is WriteMiss.NO_ALLOCATE:
                 # Write-through no-allocate (SI): the word goes to memory.
-                mem_fresh, _s, _sh = self._snoop(
-                    states, fresh, mem_fresh, actor, BusOp.WRITE, present
-                )
+                nxt.snoop(BusOp.WRITE, actor)
                 write_through = True
             else:
-                # RWITM fill.
-                mem_fresh, _s, shared = self._snoop(
-                    states, fresh, mem_fresh, actor, BusOp.READ_LINE_EXCL, present
-                )
-                states[actor] = self.steps[actor].fill(True, shared)
-                if present is not None:
-                    present[actor] = True  # install listener: line filled
+                # RWITM fill.  An update protocol's fill-shared miss is not
+                # modelled: its exclusive fill raises the FSM's own error.
+                _fresh, shared = nxt.snoop(BusOp.READ_LINE_EXCL, actor)
+                nxt.fill(actor, step.fill_for(True, shared))
         else:
-            new_state, action = self.protocols[actor].write_hit(states[actor])
+            new_state, action = step.write_hit_for(states[actor])
             if action is WriteAction.UPGRADE:
-                mem_fresh, _s, _sh = self._snoop(
-                    states, fresh, mem_fresh, actor, BusOp.INVALIDATE, present
-                )
+                nxt.snoop(BusOp.INVALIDATE, actor)
             elif action is WriteAction.WRITE_THROUGH:
-                mem_fresh, _s, _sh = self._snoop(
-                    states, fresh, mem_fresh, actor, BusOp.WRITE, present
-                )
+                nxt.snoop(BusOp.WRITE, actor)
                 write_through = True
-            self._enter(states, fresh, present, actor, new_state)
+            nxt.enter(actor, new_state)
         # The write retires: this value is now the latest.  Any other
         # valid copy is stale (no update protocols in this model);
         # memory is fresh only for a write-through retirement.
-        fresh[actor] = states[actor] is not State.INVALID
-        for other in range(self.n):
-            if other != actor and states[other] is not State.INVALID:
-                fresh[other] = False
-        mem_fresh = write_through
-        next_model = ModelState(
-            tuple(states), tuple(fresh), mem_fresh, self._pack_present(present)
-        )
-        return next_model, None
+        for index, state in enumerate(states):
+            nxt.fresh[index] = index == actor and state is not State.INVALID
+        nxt.mem_fresh = write_through
+        return nxt.freeze(), None
 
     def _evict(self, model: ModelState, actor: int):
-        states = list(model.states)
-        fresh = list(model.fresh)
-        present = self._present_list(model)
-        mem_fresh = model.mem_fresh
-        if states[actor] is State.INVALID:
+        state = model.states[actor]
+        if state is State.INVALID:
             return model, None
-        if states[actor].is_dirty:
-            mem_fresh = fresh[actor]
+        fresh = model.fresh
+        nxt = _Scratch(self.steps, model, self.directory)
+        if state.is_dirty:
+            nxt.mem_fresh = fresh[actor]
         elif (
             fresh[actor]
-            and not mem_fresh
-            and not any(fresh[j] for j in range(self.n) if j != actor)
+            and not model.mem_fresh
+            and not any(f for j, f in enumerate(fresh) if j != actor)
         ):
             # Dropping the only fresh copy without a write-back: a clean
             # copy should always be backed by fresh memory.
             return model, "lost-data"
-        self._enter(states, fresh, present, actor, State.INVALID)
-        next_model = ModelState(
-            tuple(states), tuple(fresh), mem_fresh, self._pack_present(present)
-        )
-        return next_model, None
+        nxt.enter(actor, State.INVALID)
+        return nxt.freeze(), None
 
 
 def _swmr_violated(states: Tuple[State, ...]) -> bool:

@@ -777,7 +777,9 @@ class TestAdvance:
             sim = Simulator()
 
             def ticker():
-                while True:
+                # Bounded: a kernel that ignores the budget finishes the
+                # ticker and fails the raises-check instead of hanging.
+                for _ in range(budget + 5):
                     if not (use_advance and sim.advance(10)):
                         yield sim.timeout(10)
 

@@ -6,9 +6,14 @@ import pytest
 
 from repro.cache import MESIProtocol, State
 from repro.cache.protocols.base import SnoopOp, SnoopOutcome
+from repro.core import SHARED_BASE, PlatformConfig
 from repro.core.coherence import step_for
 from repro.core.reduction import WrapperPolicy
+from repro.cpu.presets import preset_generic
+from repro.engines import batch as batch_engine
+from repro.engines import get_engine
 from repro.errors import ProtocolError
+from repro.workloads.tracegen import TraceAccess
 from repro.verify.model_check import (
     ModelState,
     _SystemModel,
@@ -214,18 +219,51 @@ class _DrainToDirty(MESIProtocol):
         return super().snoop(state, op)
 
 
+#: (mutant FSM, the state P0 holds the line in, the accesses that put it
+#: there in a three-master batch replay)
+DEFECTS = [
+    (_DrainFromClean, State.SHARED, [(0, "read"), (1, "read")]),
+    (_DrainToDirty, State.MODIFIED, [(0, "write")]),
+]
+
+
 class TestDefectiveFsm:
-    """A drain that leaves a draining line stops the checker, never hangs it."""
+    """A drain that leaves a draining line stops the checker and the
+    batch engine, never hangs them: both run the one shared window."""
 
     @pytest.mark.parametrize(
         "mutant,state",
-        [(_DrainFromClean, State.SHARED), (_DrainToDirty, State.MODIFIED)],
+        [(mutant, state) for mutant, state, _setup in DEFECTS],
     )
     def test_second_drain_raises(self, mutant, state):
         model = _SystemModel(("MESI", "MESI"), (WrapperPolicy(), WrapperPolicy()))
-        model.protocols = (mutant(), model.protocols[1])
-        model.steps = (step_for(model.protocols[0], WrapperPolicy()), model.steps[1])
+        model.steps = (step_for(mutant(), WrapperPolicy()), model.steps[1])
         start = ModelState((state, State.INVALID), (True, False), True, ())
         with pytest.raises(ProtocolError, match="P0: MESI demanded a second drain"):
             model.step(start, "read1")
 
+    @pytest.mark.parametrize("mutant,state,setup", DEFECTS)
+    def test_batch_replay_raises_the_same_error(self, monkeypatch, mutant, state, setup):
+        made = []
+
+        def make_protocol(name):
+            # p0's cache runs the mutant; p1 and p2 run the real FSM.
+            made.append(name)
+            return mutant() if len(made) == 1 else real_make_protocol(name)
+
+        real_make_protocol = batch_engine.make_protocol
+        monkeypatch.setattr(batch_engine, "make_protocol", make_protocol)
+        config = PlatformConfig(
+            cores=tuple(preset_generic(f"p{i}", "MESI") for i in range(3))
+        )
+        accesses = [
+            TraceAccess(proc, op, SHARED_BASE, 5 if op == "write" else None)
+            for proc, op in setup
+        ]
+        # The last master's read snoops p0 in ``state``.
+        accesses.append(TraceAccess(2, "read", SHARED_BASE, None))
+        with pytest.raises(
+            ProtocolError,
+            match=f"p0: MESI demanded a second drain from {state} on read-line",
+        ):
+            get_engine("batch").run(config, accesses)
