@@ -59,6 +59,16 @@ class Arbiter:
 
     Masters call :meth:`request` (an event to wait on) and must call
     :meth:`release` when their tenure ends.
+
+    A request that meets a free bus is granted in place
+    (:meth:`Event.succeed_in_place`): when ``sim.advance(0)`` says the
+    queued grant would be the next event run() fires anyway, the
+    returned event has already fired and the requesting process
+    resumes without a trip through the event queue.  ``_select`` runs
+    either way, so the policy's state and the grant counters move as
+    for a queued grant.  A grant handed over in :meth:`release` always
+    queues: it wakes a process other than the one running.  The caller
+    must yield the grant straight away.
     """
 
     def __init__(self, sim: Simulator):
@@ -83,10 +93,10 @@ class Arbiter:
 
     def request(self, master: str, priority: Priority = Priority.NORMAL) -> Event:
         """Queue a bus request; the returned event fires on grant."""
-        grant = self.sim.event()
+        grant = Event(self.sim)
         self._queues[priority].append((master, grant))
-        if not self.busy:
-            self._grant_next()
+        if self._holder is None:
+            self._grant_next(grant)
         return grant
 
     def release(self, master: str) -> None:
@@ -112,7 +122,10 @@ class Arbiter:
         }
 
     # -- selection policy --------------------------------------------------
-    def _grant_next(self) -> None:
+    def _grant_next(self, mine: Optional[Event] = None) -> None:
+        """Grant the bus to the policy's choice; ``mine`` is the request
+        the running process just queued, the only grant that may fire
+        in place."""
         choice = self._select()
         if choice is None:
             return
@@ -120,7 +133,10 @@ class Arbiter:
         self._holder = master
         self.grants += 1
         self.grants_by_master[master] = self.grants_by_master.get(master, 0) + 1
-        grant.succeed(master)
+        if grant is mine:
+            grant.succeed_in_place(master)
+        else:
+            grant.succeed(master)
 
     def _select(self) -> Optional[Tuple[str, Event]]:
         raise NotImplementedError

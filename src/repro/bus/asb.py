@@ -42,7 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 from .arbiter import Arbiter, FixedPriorityArbiter
 from .types import (
     OP_STAT_KEYS, BusOp, BusResult, Priority, SnoopAction, SnoopReply, Transaction,
-    master_stat_key, resolve_window,
+    busy_stat_key, master_stat_key, resolve_window,
 )
 
 __all__ = ["AsbBus", "Snooper", "TenureState"]
@@ -400,7 +400,7 @@ class AsbBus:
     def _charge_busy(self, master: str, ticks: int) -> None:
         """Charge ``ticks`` of bus occupancy to ``master``."""
         self.stats.bump("bus.busy_ticks", ticks)
-        self.stats.bump(f"bus.busy.{master}", ticks)
+        self.stats.bump(busy_stat_key(master), ticks)
 
     def _await_drains(self, txn: Transaction, state: TenureState, retriers) -> Generator:
         """Back off, bus released, until every retrying snooper has drained."""

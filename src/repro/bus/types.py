@@ -36,6 +36,7 @@ __all__ = [
     "BusOp",
     "OP_STAT_KEYS",
     "master_stat_key",
+    "busy_stat_key",
     "Priority",
     "Transaction",
     "SnoopAction",
@@ -81,6 +82,12 @@ OP_STAT_KEYS = {op: "bus.op." + op.value for op in BusOp}
 def master_stat_key(master: str) -> str:
     """The per-master bus counter, ``bus.master.<name>``, interned."""
     return "bus.master." + master
+
+
+@lru_cache(maxsize=256)
+def busy_stat_key(master: str) -> str:
+    """The per-master bus occupancy counter, ``bus.busy.<name>``, interned."""
+    return "bus.busy." + master
 
 
 class Priority(IntEnum):

@@ -41,9 +41,13 @@ from .protocols.base import CoherenceProtocol, WriteAction
 
 __all__ = ["CacheController"]
 
-#: a write hit that needs no bus; bound once, as an enum member read
-#: through its class is slow on the per-access path
+#: a write hit that needs no bus, the states a write-back must push and
+#: the absent state; bound once, as an enum member read through its
+#: class (or a CacheLine property) is slow on the per-access path.  A
+#: tuple probe matches by identity, with no Python-level Enum.__hash__.
 _SILENT = WriteAction.NONE
+_DIRTY = tuple(state for state in State if state.is_dirty)
+_INVALID = State.INVALID
 
 
 class CacheController:
@@ -141,7 +145,7 @@ class CacheController:
         """
         region = self.map.find(addr)
         if not (self.enabled and region.cacheable):
-            value = yield from self._uncached_read(addr)
+            value = yield from self._uncached_read(addr, region)
         else:
             port = self.port
             yield port.acquire()
@@ -173,7 +177,7 @@ class CacheController:
         """Store one word (generator); uncached stores skip the port."""
         region = self.map.find(addr)
         if not (self.enabled and region.cacheable):
-            device = self._local_device(addr)
+            device = self._local_device(region)
             if device is not None:
                 device.write_word(addr, value)
             else:
@@ -237,11 +241,11 @@ class CacheController:
         yield self.port.acquire()
         try:
             line = self.array.lookup(addr)
-            if line is not None and line.is_dirty:
+            if line is not None and line.state in _DIRTY:
                 base = self.geom.line_base(addr)
 
                 def commit(_result):
-                    if line.is_valid:
+                    if line.state is not _INVALID:
                         self._set_state(base, line, State.EXCLUSIVE, "dcbst")
 
                 # Retry-first port hold, as in read above.
@@ -328,7 +332,7 @@ class CacheController:
         line = self.array.lookup(base)
         if line is None:
             return
-        if not line.is_dirty:
+        if line.state not in _DIRTY:
             self._apply_snoop_state(base, line, next_state)
             return
 
@@ -343,7 +347,7 @@ class CacheController:
         snapshot = tuple(line.data)
 
         def commit(_result):
-            if not line.is_valid:
+            if line.state is _INVALID:
                 return
             if tuple(line.data) != snapshot:
                 self.stats.bump(self._stat_drain_redirties)
@@ -363,8 +367,8 @@ class CacheController:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _uncached_read(self, addr: int) -> Generator:
-        device = self._local_device(addr)
+    def _uncached_read(self, addr: int, region) -> Generator:
+        device = self._local_device(region)
         if device is not None:
             # Tightly-coupled register (coprocessor-style): no bus tenure.
             return device.read_word(addr)
@@ -372,8 +376,9 @@ class CacheController:
         self.stats.bump(self._stat_uncached_reads)
         return result.data
 
-    def _local_device(self, addr: int):
-        device = self.map.find(addr).device
+    def _local_device(self, region):
+        """``region``'s device when it is this master's tightly-coupled one."""
+        device = region.device
         if device is not None and getattr(device, "local_master", None) == self.name:
             return device
         return None
@@ -434,7 +439,7 @@ class CacheController:
         upgraded = []
 
         def commit(_result):
-            if line.is_valid:
+            if line.state is not _INVALID:
                 self._set_state(base, line, new_state, "upgrade")
                 line.data[offset] = value
                 upgraded.append(True)
@@ -447,7 +452,7 @@ class CacheController:
             # anyway would kill the race winner's dirty line without a
             # write-back (lost data).  Cancel at grant time instead —
             # the hardware's lost-upgrade-to-RWITM conversion.
-            validate=lambda: line.is_valid,
+            validate=lambda: line.state is not _INVALID,
         )
         self.stats.bump(self._stat_upgrades)
         if not upgraded:
@@ -463,7 +468,7 @@ class CacheController:
         done = []
 
         def commit(result):
-            if line.is_valid:
+            if line.state is not _INVALID:
                 line.data[offset] = value
                 final = State.OWNED if result.shared else State.MODIFIED
                 if line.state is not final:
@@ -518,9 +523,9 @@ class CacheController:
         commits, so no master can slip in a read of stale memory between
         the eviction decision and the memory update.
         """
-        if victim.is_dirty:
+        if victim.state in _DIRTY:
             def commit(_result):
-                if victim.is_valid:
+                if victim.state is not _INVALID:
                     victim.state = State.INVALID
                     self._set_removed(victim_addr, way)
                     self._notify_remove(victim_addr, "evict")
@@ -533,7 +538,7 @@ class CacheController:
                 commit=commit,
             )
             self.stats.bump(self._stat_writebacks)
-            if victim.is_valid:
+            if victim.state is not _INVALID:
                 # A concurrent drain beat us to the state change; the way
                 # may already be empty — make sure it is.
                 self._set_removed(victim_addr, way)
@@ -551,9 +556,9 @@ class CacheController:
         line = self.array.lookup(base)
         if line is None:
             return
-        if line.is_dirty:
+        if line.state in _DIRTY:
             def commit(_result):
-                if line.is_valid:
+                if line.state is not _INVALID:
                     line.state = State.INVALID
                     self.array.remove(base)
                     self._notify_remove(base, "dcbf")

@@ -116,39 +116,46 @@ class Core:
     def _run(self):
         sim = self.sim
         advance = sim.advance
+        fiq = self.fiq
+        # Base pipeline occupancy per instruction (a negative cpi raises here)
+        delay = self.clock.cycles(self.cpi)
         while True:
-            if self._fiq_ready():
+            if fiq.asserted and self._fiq_ready():
                 yield from self._enter_isr()
                 continue
             if self.halted and not self.in_isr:
                 # Finished, but stay responsive to snoop-hit interrupts.
                 self.process.daemon = True
-                if self.fiq.asserted:
+                if fiq.asserted:
                     yield sim.timeout(self._fiq_wait_remaining())
                 else:
-                    yield self.fiq.wait()
+                    yield fiq.wait()
                 continue
             pc = self.pc
-            if not 0 <= pc < len(self.program):
+            instrs = self.program.instrs
+            if not 0 <= pc < len(instrs):
                 raise ExecutionError(
                     f"{self.name}: PC {pc} outside program "
-                    f"(0..{len(self.program) - 1})"
+                    f"(0..{len(instrs) - 1})"
                 )
-            instr = self.program[pc]
+            instr = instrs[pc]
             self.pc = pc + 1
             if self.trace_instructions:
                 trace = self._trace_core
                 if trace.enabled:
                     trace.emit(sim.now, self.name, "exec", pc=pc, instr=instr.render())
-            # Base pipeline occupancy for every instruction.
-            delay = self.clock.cycles(self.cpi)
             if not advance(delay):
                 yield sim.timeout(delay)
-            # Ops that never wait run inline; memory and timed ops are
-            # the only ones that need a generator.
+            # Loads, stores and ops that never wait run inline.
             op = instr.op
             regs = self.regs
-            if op == "ADDI":
+            if op == "LD":
+                addr = (regs[instr.ra] + instr.imm) & REG_MASK
+                regs[instr.rd] = yield from self.dcache.read(addr)
+            elif op == "ST":
+                addr = (regs[instr.ra] + instr.imm) & REG_MASK
+                yield from self.dcache.write(addr, regs[instr.rb])
+            elif op == "ADDI":
                 regs[instr.rd] = (regs[instr.ra] + instr.imm) & REG_MASK
             elif op == "SUBI":
                 regs[instr.rd] = (regs[instr.ra] - instr.imm) & REG_MASK
@@ -277,25 +284,16 @@ class Core:
 
     # -- memory and timed ops ----------------------------------------------------
     def _execute(self, instr: Instr):
-        """The ops that wait: memory accesses and fixed delays."""
+        """The other ops that wait: swaps, cache flushes, delays."""
         op = instr.op
         regs = self.regs
-        if op == "LD":
-            addr = (regs[instr.ra] + instr.imm) & REG_MASK
-            regs[instr.rd] = yield from self.dcache.read(addr)
-        elif op == "ST":
-            addr = (regs[instr.ra] + instr.imm) & REG_MASK
-            yield from self.dcache.write(addr, regs[instr.rb])
-        elif op == "SWP":
+        if op == "SWP":
             addr = regs[instr.ra] & REG_MASK
             old = yield from self.dcache.swap(addr, regs[instr.rd])
             regs[instr.rd] = old
         elif op == "DCBF":
-            priority = (
-                Priority.DRAIN
-                if (self.in_isr and self.isr_drain_priority)
-                else Priority.NORMAL
-            )
+            drain = self.in_isr and self.isr_drain_priority
+            priority = Priority.DRAIN if drain else Priority.NORMAL
             yield from self.dcache.flush_line(regs[instr.ra] & REG_MASK, priority)
         elif op == "DCBST":
             yield from self.dcache.writeback_line(regs[instr.ra] & REG_MASK)

@@ -82,6 +82,23 @@ class Event:
         self._trigger(value, ok=True)
         return self
 
+    def succeed_in_place(self, value: Any = None) -> "Event":
+        """Trigger a fresh event that only the running process will wait
+        on, firing it right here when ``sim.advance(0)`` says its queued
+        firing would be the next event run() fires anyway.
+
+        Fired in place, the event counts as one fired event and the
+        process that yields it resumes without a trip through the event
+        queue.  Otherwise (other work due at this tick, outside run(),
+        under :meth:`Simulator.step`) this is :meth:`succeed`.
+        """
+        if self.sim.advance(0):
+            self.value = value
+            self._scheduled = self._triggered = True
+        else:
+            self._trigger(value, ok=True)
+        return self
+
     def fail(self, exc: BaseException) -> "Event":
         """Trigger the event with an exception, re-raised in waiters."""
         if not isinstance(exc, BaseException):

@@ -27,12 +27,13 @@ class Mutex:
         finally:
             mutex.release()
 
-    A free lock is granted in place when ``sim.advance(0)`` says the
-    grant would be the next event run() fires anyway: the returned
-    event has already fired (and counts as one fired event), so the
-    process resumes without a trip through the event queue.  Otherwise
-    (a held lock, other work due at this tick, outside run()) the grant
-    is queued as usual.
+    A free lock is granted in place (:meth:`Event.succeed_in_place`)
+    when ``sim.advance(0)`` says the grant would be the next event run()
+    fires anyway: the returned event has already fired (and counts as
+    one fired event), so the process resumes without a trip through the
+    event queue.  Otherwise (a held lock, other work due at this tick,
+    outside run()) the grant is queued as usual.  Either way the caller
+    must yield the grant straight away.
     """
 
     def __init__(self, sim: Simulator, name: str = "mutex"):
@@ -55,16 +56,11 @@ class Mutex:
 
     def acquire(self) -> Event:
         """An event that fires when the caller holds the lock."""
-        sim = self.sim
-        grant = Event(sim)
+        grant = Event(self.sim)
         if self._holder is None:
             self._holder = grant
             self.acquisitions += 1
-            if sim.advance(0):
-                # Fired in place: advance() counted it, nobody waits on it.
-                grant._scheduled = grant._triggered = True
-            else:
-                grant.succeed()
+            grant.succeed_in_place()
         else:
             self.contentions += 1
             self._waiters.append(grant)

@@ -9,7 +9,7 @@ from repro.bus import (
     Priority,
     RoundRobinArbiter,
 )
-from repro.errors import BusError
+from repro.errors import BusError, SimulationError
 from repro.sim import Simulator
 
 
@@ -324,3 +324,221 @@ class TestRoundRobinPruning:
         self._settle(sim, arbiter, ["a", "b", "r"])
         self._settle(sim, arbiter, ["a", "b"])
         assert "r" in arbiter._rotation
+
+
+def _policy_state(arbiter):
+    """Everything a grant may move: the counters and the policy's own
+    state (the rotation pointer, idle counts and ranks)."""
+    return (
+        arbiter.holder, arbiter.grants, dict(arbiter.grants_by_master),
+        getattr(arbiter, "_last_master", None),
+        list(getattr(arbiter, "_rotation", ())),
+        dict(getattr(arbiter, "_idle_selections", {})),
+        dict(getattr(arbiter, "_rank", {})),
+    )
+
+
+def _drive(sim, stepwise):
+    """run(), or step() until the queue drains (step never grants in place)."""
+    if stepwise:
+        while sim.peek() is not None:
+            sim.step()
+    else:
+        sim.run()
+
+
+@pytest.mark.parametrize(
+    "discipline", [FixedPriorityArbiter, MasterPriorityArbiter, RoundRobinArbiter]
+)
+class TestInPlaceGrant:
+    """A request that meets a free bus is granted in place exactly when
+    ``sim.advance(0)`` says its queued grant would be the next event
+    run() fires; in every other case the grant is queued.  ``_select``
+    runs either way, so order, times, event counts, grant counters and
+    the policy's state all equal the queued path's."""
+
+    def _probe(self, sim, arbiter, log, master="p", before=None, hold=0,
+               priority=Priority.NORMAL):
+        """A process that takes the bus after ``before`` the way a bus
+        tenure does, logging whether its grant had fired in place."""
+
+        def proc():
+            yield before if before is not None else sim.timeout(0)
+            grant = arbiter.request(master, priority)
+            log.append((master, grant.triggered))
+            granted = yield grant
+            log.append((master, "holds", sim.now, granted))
+            if hold:
+                yield sim.timeout(hold)
+            arbiter.release(master)
+
+        return sim.process(proc())
+
+    def test_free_bus_is_granted_in_place_and_counted(self, discipline):
+        def drive(stepwise):
+            sim = Simulator()
+            arbiter = discipline(sim)
+            log = []
+            self._probe(sim, arbiter, log)
+            _drive(sim, stepwise)
+            return log, (sim.now, sim.events_fired), _policy_state(arbiter)
+
+        in_place, queued = drive(False), drive(True)
+        assert in_place[0] == [("p", True), ("p", "holds", 0, "p")]
+        assert queued[0] == [("p", False), ("p", "holds", 0, "p")]
+        # bootstrap, timeout(0), the grant, the process's own end
+        assert in_place[1] == queued[1] == (0, 4)
+        assert in_place[2] == queued[2]
+        assert in_place[2][:3] == (None, 1, {"p": 1})
+
+    def test_counts_order_and_policy_state_match_the_queued_grant(self, discipline):
+        def drive(stepwise):
+            sim = Simulator()
+            arbiter = discipline(sim)
+            log = []
+
+            def master(name, delay, hold, rounds):
+                for index in range(rounds):
+                    yield sim.timeout(delay)
+                    priority = Priority.RETRY if index % 3 == 2 else Priority.NORMAL
+                    grant = arbiter.request(name, priority)
+                    log.append((name, "asks", sim.now, grant.triggered))
+                    yield grant
+                    log.append((name, "holds", sim.now))
+                    yield sim.timeout(hold)
+                    arbiter.release(name)
+
+            sim.process(master("a", 3, 4, 6))
+            sim.process(master("b", 5, 2, 6))
+            sim.process(master("c", 7, 1, 3))  # retires early
+            _drive(sim, stepwise)
+            in_place = sum(1 for entry in log if entry[1] == "asks" and entry[3])
+            order = [entry[:3] for entry in log]
+            return (order, sim.events_fired, sim.now,
+                    _policy_state(arbiter)), in_place
+
+        (run_result, in_place), (step_result, queued) = drive(False), drive(True)
+        assert run_result == step_result
+        assert in_place > 0 and queued == 0
+        assert run_result[3][1] == 15  # every request granted once
+
+    def test_pending_same_tick_event_queues_the_grant(self, discipline, sim):
+        arbiter = discipline(sim)
+        log = []
+
+        def proc():
+            yield sim.timeout(0)
+            other = sim.event()
+            other.add_callback(lambda _e: log.append("other"))
+            other.succeed()
+            grant = arbiter.request("p")
+            log.append(("p", grant.triggered))
+            yield grant
+            log.append("holds")
+
+        sim.process(proc())
+        sim.run(detect_deadlock=False)
+        assert log == [("p", False), "other", "holds"]
+        assert sim.events_fired == 5
+        assert arbiter.grants_by_master == {"p": 1}
+
+    def test_heap_entry_due_now_queues_the_grant(self, discipline, sim):
+        arbiter = discipline(sim)
+        log = []
+        self._probe(sim, arbiter, log, before=sim.timeout(5))
+        sim.timeout(5).add_callback(lambda _e: log.append("heap"))
+        sim.run()
+        assert log == [("p", False), "heap", ("p", "holds", 5, "p")]
+
+    def test_held_bus_queues_the_grant(self, discipline, sim):
+        arbiter = discipline(sim)
+        log = []
+        self._probe(sim, arbiter, log, master="a", before=sim.timeout(1), hold=5)
+        self._probe(sim, arbiter, log, master="b", before=sim.timeout(2))
+        seen = []
+        sim.timeout(3).add_callback(lambda _e: seen.append(arbiter.holder))
+        sim.run()
+        assert log == [("a", True), ("a", "holds", 1, "a"), ("b", False),
+                       ("b", "holds", 6, "b")]
+        assert seen == ["a"]
+        assert arbiter.grants_by_master == {"a": 1, "b": 1}
+
+    def test_older_banded_request_queues_the_grant(self, discipline, sim):
+        # A free bus with a request already banded is a state release()
+        # never leaves (it hands the bus on at once), so it is built by
+        # hand: the policy's choice is the older request, not the
+        # requester's, and neither grant fires in place.
+        arbiter = discipline(sim)
+        older = sim.event()
+        arbiter._queues[Priority.DRAIN].append(("d", older))
+        log = []
+
+        def drainer():
+            yield older
+            log.append(("d", "holds", sim.now))
+            yield sim.timeout(2)
+            arbiter.release("d")
+
+        sim.process(drainer())
+        self._probe(sim, arbiter, log)
+        sim.run()
+        assert log == [("p", False), ("d", "holds", 0), ("p", "holds", 2, "p")]
+        assert arbiter.grants_by_master == {"d": 1, "p": 1}
+
+    def test_step_queues_the_grant(self, discipline, sim):
+        arbiter = discipline(sim)
+        log = []
+        self._probe(sim, arbiter, log)
+        _drive(sim, stepwise=True)
+        assert log == [("p", False), ("p", "holds", 0, "p")]
+        assert sim.events_fired == 4
+
+    def test_max_events_budget(self, discipline):
+        def run(budget):
+            sim = Simulator()
+            arbiter = discipline(sim)
+            granted = []
+
+            def spinner():
+                for _ in range(100):  # bounded, so a broken guard fails fast
+                    grant = arbiter.request("p")
+                    granted.append(grant.triggered)
+                    yield grant
+                    arbiter.release("p")
+
+            sim.process(spinner())
+            with pytest.raises(SimulationError, match="max_events"):
+                sim.run(max_events=budget)
+            return sim.events_fired, arbiter.grants, granted[-1]
+
+        # the grant that would be the budget-th event is queued instead
+        for budget in (1, 2, 3, 50):
+            assert run(budget) == (budget, budget, False)
+
+
+class TestInPlaceRoundRobinPointer:
+    def test_in_place_grant_moves_the_pointer(self, sim):
+        # Rotation [a, b, c] with the pointer on c; b then takes the
+        # free bus in place, so the next contended selection starts
+        # past b and serves c before a.
+        arbiter = RoundRobinArbiter(sim)
+        grants_in_order(sim, arbiter, [(m, Priority.NORMAL) for m in "abc"])
+        assert arbiter._last_master == "c"
+        log = []
+
+        def master(name, delay, hold=0):
+            yield sim.timeout(delay)
+            grant = arbiter.request(name)
+            log.append((name, grant.triggered))
+            yield grant
+            log.append((name, "holds", sim.now))
+            yield sim.timeout(hold)
+            arbiter.release(name)
+
+        sim.process(master("b", 1, hold=5))
+        sim.process(master("a", 2))
+        sim.process(master("c", 3))
+        sim.run()
+        assert log == [("b", True), ("b", "holds", 1), ("a", False),
+                       ("c", False), ("c", "holds", 6), ("a", "holds", 6)]
+        assert arbiter._last_master == "a"

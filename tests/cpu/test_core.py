@@ -5,7 +5,7 @@ import pytest
 from repro.bus import AsbBus
 from repro.cache import CacheController, CacheGeometry, make_protocol
 from repro.cpu import Assembler, Core
-from repro.errors import ExecutionError, SimulationError
+from repro.errors import ConfigError, ExecutionError, SimulationError
 from repro.mem import MainMemory, MemoryController, MemoryMap, Region
 from repro.sim import Clock, Simulator
 from repro.workloads import MicrobenchSpec, run_microbench
@@ -120,12 +120,51 @@ class TestControlFlow:
     def test_pc_out_of_range_traps(self):
         asm = Assembler()
         asm.nop()  # falls off the end
-        sim, _memory, core = make_core()[0], None, None  # placeholder
-        sim, memory, core = make_core()
+        sim, _memory, core = make_core()
         core.load_program(asm.assemble())
         core.start()
         with pytest.raises(ExecutionError):
             sim.run()
+
+
+class TestFetch:
+    """The fetch check: a PC outside the program traps with its range."""
+
+    def _trap(self, asm):
+        sim, _memory, core = make_core()
+        core.load_program(asm.assemble())
+        core.start()
+        with pytest.raises(ExecutionError) as info:
+            sim.run()
+        return str(info.value), core
+
+    def test_running_off_the_end_without_halt(self):
+        asm = Assembler()
+        asm.li(1, 7).nop()
+        message, core = self._trap(asm)
+        assert message == "cpu: PC 2 outside program (0..1)"
+        assert core.retired == 2 and core.regs[1] == 7
+
+    def test_jr_to_an_out_of_range_address(self):
+        asm = Assembler()
+        asm.li(1, 100).jr(1).halt()
+        message, core = self._trap(asm)
+        assert message == "cpu: PC 100 outside program (0..2)"
+        assert core.retired == 2 and not core.halted
+
+    def test_jr_past_the_last_instruction_by_one(self):
+        asm = Assembler()
+        asm.li(1, 3).jr(1).halt()
+        message, _core = self._trap(asm)
+        assert message == "cpu: PC 3 outside program (0..2)"
+
+    def test_negative_cpi_raises_before_the_first_instruction(self):
+        sim, _memory, core = make_core(cpi=-1)
+        core.load_program(Assembler().li(1, 7).halt().assemble())
+        core.start()
+        with pytest.raises(ConfigError, match="negative cycle count"):
+            sim.run()
+        assert (core.retired, core.regs[1], sim.now) == (0, 0, 0)
 
 
 class TestMemoryInstructions:
