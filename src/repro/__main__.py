@@ -72,8 +72,8 @@ Commands
     failing case with delta debugging.  See ``docs/robustness.md``.
 ``lint``
     Run the static-analysis suite (:mod:`repro.lint`) over the package
-    source: AST hazard, import-contract and concurrency rules.  See
-    ``docs/static-analysis.md``.
+    source: determinism, trace-guard, process-yield and import-contract
+    rules.  See ``docs/static-analysis.md``.
 
 Exit codes are uniform across subcommands: 0 success, 1 failure of the
 command's check (regression, mismatch, lint finding), 2 usage or

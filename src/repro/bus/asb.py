@@ -117,9 +117,6 @@ class AsbBus:
         arbiter: Optional[Arbiter] = None,
         tracer: Optional[Tracer] = None,
         stats: Optional[Stats] = None,
-        arbitration_cycles: int = 1,
-        address_cycles: int = 1,
-        retry_penalty_cycles: int = 0,
         max_retries: Optional[int] = 1000,
     ):
         self.sim = sim
@@ -130,9 +127,10 @@ class AsbBus:
         self.stats = stats or Stats()
         # Cached guard: one attribute load per tenure when "bus" is off.
         self._trace_bus = self.tracer.channel("bus")
-        self.arbitration_cycles = arbitration_cycles
-        self.address_cycles = address_cycles
-        self.retry_penalty_cycles = retry_penalty_cycles
+        #: bus cycles of arbitration and of the address phase; a fabric
+        #: may lengthen the address phase (the directory's lookup)
+        self.arbitration_cycles = 1
+        self.address_cycles = 1
         #: ARTRY ceiling per transaction; None disables the monitor.
         self.max_retries = max_retries
         self.snoopers: List[Snooper] = []
@@ -290,7 +288,7 @@ class AsbBus:
                 retriers, shared, supplier = resolve_window(self._snoop_window(txn))
                 if retriers:
                     # ARTRY: abort the tenure, back off until drains finish.
-                    yield from self._abort_tenure(txn, tenure_start)
+                    self._abort_tenure(txn, tenure_start)
                     arbiter.release(txn.master)
                     held = False
                     yield from self._await_drains(txn, state, retriers)
@@ -383,19 +381,17 @@ class AsbBus:
                 retries=txn.retries,
             )
 
-    def _abort_tenure(self, txn: Transaction, tenure_start: int) -> Generator:
+    def _abort_tenure(self, txn: Transaction, tenure_start: int) -> None:
         """ARTRY with the bus still held: count it, charge the wasted tenure.
 
-        The wasted address phase is the intrinsic cost; extra recovery
-        cycles are configurable.
+        The wasted address phase is the whole cost: the bus is handed
+        on with no extra recovery cycles.
         """
-        sim = self.sim
+        now = self.sim.now
         self.stats.bump("bus.retries")
         if self._trace_bus.enabled:
-            self._trace_bus.emit(sim.now, txn.master, "artry", addr=txn.addr)
-        if self.retry_penalty_cycles:
-            yield sim.timeout(self.clock.cycles(self.retry_penalty_cycles))
-        self._charge_busy(txn.master, sim.now - tenure_start)
+            self._trace_bus.emit(now, txn.master, "artry", addr=txn.addr)
+        self._charge_busy(txn.master, now - tenure_start)
 
     def _charge_busy(self, master: str, ticks: int) -> None:
         """Charge ``ticks`` of bus occupancy to ``master``."""

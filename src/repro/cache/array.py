@@ -131,7 +131,7 @@ class CacheArray:
         set_index = self.geom.set_index(addr)
         ways = self._sets[set_index]
         for way, line in enumerate(ways):
-            if line is None or not line.is_valid:
+            if line is None or line.state is _INVALID:
                 return way, None, None
         way = min(range(len(ways)), key=lambda w: ways[w].lru_stamp)
         victim = ways[way]
@@ -176,7 +176,7 @@ class CacheArray:
             return None
         way, line = entry
         self._sets[set_index][way] = None
-        if not line.is_valid:
+        if line.state is _INVALID:
             # Already invalidated in place; the slot is freed but there
             # is no live line to hand back (matches the way-scan miss).
             return None
@@ -203,7 +203,7 @@ class CacheArray:
         """Yield ``(line_base_addr, line)`` for every valid line."""
         for set_index, ways in enumerate(self._sets):
             for line in ways:
-                if line is not None and line.is_valid:
+                if line is not None and line.state is not _INVALID:
                     yield self.geom.rebuild_addr(line.tag, set_index), line
 
     def occupancy(self) -> int:

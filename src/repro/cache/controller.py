@@ -161,9 +161,9 @@ class CacheController:
                     # processor transaction legitimately keeps the
                     # tag/data port across its bus tenure, and a
                     # concurrent snoop push ARTRYs and backs off.  The
-                    # wait-cycle lint rule proves the drain-policy
-                    # bypass keeps this acyclic.
-                    # repro: lint-ok[hold-across-yield]
+                    # drain-policy bypass keeps the port/drain waits
+                    # acyclic (tests/integration/test_scaleout.py::
+                    # TestDrainPolicy runs both policies).
                     line = yield from self._fill(addr, region, exclusive=False)
                 value = line.data[self.geom.word_offset(addr)]
             finally:
@@ -193,14 +193,12 @@ class CacheController:
                 line = self.array.lookup(addr, touch=True)
                 if line is None:
                     # Retry-first port hold, as in read above.
-                    # repro: lint-ok[hold-across-yield]
                     yield from self._write_miss(addr, value, region)
                 else:
                     offset = self.geom.word_offset(addr)
                     new_state, action = self._write_hit(addr, line, offset, value)
                     if action is not _SILENT:
                         # Retry-first port hold, as in read above.
-                        # repro: lint-ok[hold-across-yield]
                         yield from self._write_hit_bus(
                             addr, line, offset, value, new_state, action
                         )
@@ -231,7 +229,6 @@ class CacheController:
         yield self.port.acquire()
         try:
             # Retry-first port hold, as in read above.
-            # repro: lint-ok[hold-across-yield]
             yield from self._flush_locked(addr, priority)
         finally:
             self.port.release()
@@ -249,7 +246,6 @@ class CacheController:
                         self._set_state(base, line, State.EXCLUSIVE, "dcbst")
 
                 # Retry-first port hold, as in read above.
-                # repro: lint-ok[hold-across-yield]
                 yield from self._transact(
                     Transaction(
                         BusOp.WRITE_LINE, base, self.name,
@@ -323,7 +319,6 @@ class CacheController:
             # Retry-first drain: the push queues behind the port on
             # purpose; the bypass branch above is what keeps the
             # port/drain-completion waits-for graph acyclic.
-            # repro: lint-ok[hold-across-yield]
             yield from self._drain_push(base, next_state)
         finally:
             self.port.release()

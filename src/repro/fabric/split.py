@@ -106,7 +106,6 @@ class SplitBus(AsbBus):
         # ownership transfer below); an exception between grant and
         # spawn would leak it — accepted, since the fault matrix takes
         # the platform down on such errors.
-        # repro: lint-ok[resource-release]
         yield self._acquire_slot()
         predecessor = self._data_tail
         done = self.sim.event()

@@ -7,7 +7,6 @@ the rule catalog and suppression syntax.
 
 from .core import (
     RULES,
-    AstRule,
     Finding,
     ModuleSource,
     Project,
@@ -20,7 +19,6 @@ from .core import (
 
 __all__ = [
     "RULES",
-    "AstRule",
     "Finding",
     "ModuleSource",
     "Project",

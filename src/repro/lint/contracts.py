@@ -28,7 +28,7 @@ import ast
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Tuple
 
-from .core import AstRule, Finding, ModuleSource, register
+from .core import Finding, ModuleSource, Rule, register
 
 __all__ = ["Contract", "ContractRule", "ENGINES", "FABRICS"]
 
@@ -99,7 +99,7 @@ def _names(target: str, module: str) -> bool:
     return bare == module or bare.startswith(module + ".")
 
 
-class ContractRule(AstRule):
+class ContractRule(Rule):
     """Imports between the model and one package run one way."""
 
     def __init__(self, contract: Contract):

@@ -4,16 +4,14 @@
 runtime coherence checker, the exhaustive model checker, the fault
 matrix) with checks that need no simulation at all: AST passes over the
 package source catch simulator hazards (nondeterministic iteration,
-unguarded trace emits, bad process yields, import-direction contracts,
-and the concurrency discipline of simulation processes).
+unguarded trace emits, bad process yields and import-direction
+contracts).
 
 The pieces:
 
 * :class:`Finding` — one diagnostic, anchored to a file and line.
-* :class:`Rule` — a registered check.  AST rules subclass
-  :class:`AstRule` and inspect one parsed module at a time; whole-
-  project rules (the proxy-coverage check, the concurrency rules)
-  subclass :class:`Rule` directly and see the :class:`Project`.
+* :class:`Rule` — a registered check that inspects one parsed module at
+  a time.
 * :class:`Project` / :class:`ModuleSource` — the parsed source tree,
   with per-module suppression tables and lazily built AST parent links.
 * ``# repro: lint-ok[rule-id]`` — the inline suppression syntax.  A
@@ -45,7 +43,6 @@ __all__ = [
     "ModuleSource",
     "Project",
     "Rule",
-    "AstRule",
     "RULES",
     "register",
     "load_project",
@@ -147,9 +144,7 @@ class ModuleSource:
             return True
         return False
 
-    def unused_suppression_findings(
-        self, known_rules: Optional[Set[str]] = None
-    ) -> List[Finding]:
+    def unused_suppression_findings(self, known_rules: Set[str]) -> List[Finding]:
         """A warning per waiver that silenced nothing this run.
 
         Waivers naming a rule outside ``known_rules`` are excluded —
@@ -158,7 +153,7 @@ class ModuleSource:
         findings = []
         for line, rules in sorted(self.suppressions.items()):
             for rule in sorted(rules):
-                if known_rules is not None and rule not in known_rules:
+                if rule not in known_rules:
                     continue
                 if (line, rule) not in self.used_suppressions:
                     findings.append(
@@ -175,7 +170,7 @@ class ModuleSource:
     def unknown_suppression_findings(self, known_rules: Set[str]) -> List[Finding]:
         """An error per waiver naming a rule that does not exist.
 
-        A typo'd waiver (``lint-ok[hold-accross-yield]``) would
+        A typo'd waiver (``lint-ok[determinsm]``) would
         otherwise sit dead forever while the finding it meant to
         silence fails the run — or worse, silently stop waiving after
         a rule rename.
@@ -225,15 +220,7 @@ class ModuleSource:
 class Project:
     """The file set one lint run inspects."""
 
-    root: Path
     modules: List[ModuleSource] = field(default_factory=list)
-
-    def module(self, path_suffix: str) -> Optional[ModuleSource]:
-        """The module whose path ends with ``path_suffix`` (or None)."""
-        for mod in self.modules:
-            if mod.path.endswith(path_suffix):
-                return mod
-        return None
 
 
 def load_project(paths: Optional[Sequence[str]] = None) -> Project:
@@ -261,7 +248,7 @@ def load_project(paths: Optional[Sequence[str]] = None) -> Project:
     else:
         root = package_root
         files = sorted(root.rglob("*.py"))
-    project = Project(root=root)
+    project = Project()
     seen: Set[str] = set()
     for file in files:
         resolved = file.resolve()
@@ -280,44 +267,25 @@ def load_project(paths: Optional[Sequence[str]] = None) -> Project:
 
 
 class Rule:
-    """Base class: one registered static check.
+    """Base class: one registered check over one parsed module at a time.
 
-    Subclasses set ``id``, ``description`` and ``severity`` and override
-    :meth:`check`.  Path anchoring is the rule's job; the framework
-    applies suppressions and severity afterwards.
+    Subclasses set ``id`` and ``description`` and override
+    :meth:`visit_module`.  Path anchoring is the rule's job; the
+    framework applies suppressions afterwards.
     """
 
     id: str = "?"
     description: str = ""
-    severity: Severity = Severity.ERROR
-
-    def check(self, project: Project) -> Iterable[Finding]:
-        """Yield findings over the whole project."""
-        raise NotImplementedError
-
-    def finding(self, path: str, line: int, message: str) -> Finding:
-        """A finding attributed to this rule."""
-        return Finding(
-            rule=self.id, path=path, line=line, message=message,
-            severity=self.severity,
-        )
-
-
-class AstRule(Rule):
-    """A rule that inspects one parsed module at a time."""
-
     #: path fragments (POSIX) this rule never applies to
     exempt_paths: Tuple[str, ...] = ()
-
-    def check(self, project: Project) -> Iterable[Finding]:
-        for module in project.modules:
-            if any(fragment in module.path for fragment in self.exempt_paths):
-                continue
-            yield from self.visit_module(module)
 
     def visit_module(self, module: ModuleSource) -> Iterable[Finding]:
         """Yield findings for one module."""
         raise NotImplementedError
+
+    def finding(self, path: str, line: int, message: str) -> Finding:
+        """A finding attributed to this rule."""
+        return Finding(rule=self.id, path=path, line=line, message=message)
 
 
 #: the rule registry, id -> instance, in registration order
@@ -363,13 +331,13 @@ def run_rules(
             )
         selected = [RULES[r] for r in rule_ids]
     findings: List[Finding] = []
-    modules_by_path = {m.path: m for m in project.modules}
     for rule in selected:
-        for finding in rule.check(project):
-            module = modules_by_path.get(finding.path)
-            if module is not None and module.is_suppressed(finding):
+        for module in project.modules:
+            if any(fragment in module.path for fragment in rule.exempt_paths):
                 continue
-            findings.append(finding)
+            for finding in rule.visit_module(module):
+                if not module.is_suppressed(finding):
+                    findings.append(finding)
     known_rules = set(RULES) | {SUPPRESSION_RULE_ID}
     for module in project.modules:
         findings.extend(module.suppression_findings)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Set
 
-from .core import AstRule, Finding, ModuleSource, register
+from .core import Finding, ModuleSource, Rule, register
 
 __all__ = ["DeterminismRule"]
 
@@ -121,7 +121,7 @@ def _collect_set_symbols(tree: ast.Module) -> Set[tuple]:
 
 
 @register
-class DeterminismRule(AstRule):
+class DeterminismRule(Rule):
     """Forbid nondeterministic iteration, ordering, randomness, clocks."""
 
     id = "determinism"

@@ -31,7 +31,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterable, List, Set
 
-from .core import AstRule, Finding, ModuleSource, register
+from .core import Finding, ModuleSource, Rule, register
 
 __all__ = ["ProcessYieldRule"]
 
@@ -101,7 +101,7 @@ def _yields_primitive(yields: List[ast.AST]) -> bool:
 
 
 @register
-class ProcessYieldRule(AstRule):
+class ProcessYieldRule(Rule):
     """Process generators may only yield kernel events."""
 
     id = "process-yield"

@@ -6,9 +6,6 @@ selecting rules, so callers never need to know the individual modules.
 """
 
 from . import determinism  # noqa: F401
-from .concur import cycle  # noqa: F401
-from .concur import hold  # noqa: F401
-from .concur import release  # noqa: F401
 from . import contracts  # noqa: F401
 from . import process_yield  # noqa: F401
 from . import trace_guard  # noqa: F401

@@ -33,7 +33,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from .core import AstRule, Finding, ModuleSource, register
+from .core import Finding, ModuleSource, Rule, register
 
 __all__ = ["TraceGuardRule"]
 
@@ -124,7 +124,7 @@ def _contains(root: ast.AST, target: ast.AST) -> bool:
 
 
 @register
-class TraceGuardRule(AstRule):
+class TraceGuardRule(Rule):
     """Trace emits must be behind a cached ``channel.enabled`` check."""
 
     id = "trace-guard"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bus import AsbBus, BusOp, SnoopAction, Transaction
+from repro.bus import AsbBus, BusOp, SnoopAction, Snooper, Transaction
 from repro.cache import (
     CacheController,
     CacheGeometry,
@@ -320,3 +320,53 @@ class TestDrainLine:
         run(sim, controller.drain_line(0x100, State.INVALID))
         assert memory.peek(0x100) == 5
         assert memory.peek(0x104) == 6
+
+
+class _ExplodingSnooper(Snooper):
+    """Fails every address phase it sees, as a faulty peer would."""
+
+    def snoop(self, txn):
+        raise RuntimeError(f"snoop of {txn.op.value} exploded")
+
+
+def _make_shared(sim, controller):
+    run(sim, controller.read(0x100))  # E
+    controller.snoop_decision(snooped(BusOp.READ_LINE, 0x100))  # S
+
+
+def _make_dirty(sim, controller):
+    run(sim, controller.write(0x100, 5))  # M
+
+
+#: every entry point that holds the port across a bus tenure:
+#: (setup, the access whose tenure fails)
+PORT_HOLDERS = {
+    "read-miss": (None, lambda c: c.read(0x100)),
+    "write-miss": (None, lambda c: c.write(0x100, 1)),
+    "write-hit-bus": (_make_shared, lambda c: c.write(0x100, 1)),
+    "flush_line": (_make_dirty, lambda c: c.flush_line(0x100)),
+    "writeback_line": (_make_dirty, lambda c: c.writeback_line(0x100)),
+    "drain_line": (_make_dirty, lambda c: c.drain_line(0x100, State.SHARED)),
+}
+
+
+class TestPortLiveness:
+    @pytest.mark.parametrize("entry", sorted(PORT_HOLDERS))
+    def test_port_released_when_tenure_raises(self, entry):
+        sim, memory, bus, controller = make_setup()
+        assert controller.drain_needs_port
+        setup, access = PORT_HOLDERS[entry]
+        if setup is not None:
+            setup(sim, controller)
+        snooper = _ExplodingSnooper()
+        bus.attach_snooper(snooper)
+        proc = sim.process(access(controller))
+        proc.add_callback(lambda _e: None)  # swallow the failure
+        sim.run()
+        assert not proc.ok and isinstance(proc.value, RuntimeError)
+        # The dead access must not leave the tag/data port held...
+        assert not controller.port.locked
+        bus.detach_snooper(snooper)
+        # ...so the next access (a miss, through the port) completes.
+        memory.load(0x400, [7])
+        assert run(sim, controller.read(0x400)) == 7

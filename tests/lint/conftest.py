@@ -1,7 +1,5 @@
 """Shared helpers for the lint tests: in-memory projects."""
 
-from pathlib import Path
-
 import pytest
 
 from repro.lint.core import ModuleSource, Project
@@ -12,7 +10,7 @@ def make_project():
     """Build a :class:`Project` from {path: source} without touching disk."""
 
     def build(files):
-        project = Project(root=Path("."))
+        project = Project()
         for path, text in files.items():
             project.modules.append(ModuleSource(path, text))
         return project

@@ -64,13 +64,13 @@ class TestSuppressions:
         assert module.suppressions == {}
 
     def test_unknown_rule_waiver_is_an_error(self, make_project):
-        src = "x = 1  # repro: lint-ok[hold-accross-yield]\n"
+        src = "x = 1  # repro: lint-ok[proces-yield]\n"
         project = make_project({"core/util.py": src})
         findings = run_rules(project, ["determinism"])  # even on partial runs
         (finding,) = findings
         assert finding.rule == "suppression"
         assert finding.severity is Severity.ERROR
-        assert "unknown rule 'hold-accross-yield'" in finding.message
+        assert "unknown rule 'proces-yield'" in finding.message
 
     def test_unknown_rule_waiver_not_double_reported(self, make_project):
         src = "x = 1  # repro: lint-ok[no-such-rule]\n"
@@ -83,16 +83,16 @@ class TestSuppressions:
         src = (
             "class Bus:\n"
             "    def transact(self, txn):\n"
-            "        yield self.arbiter.request(txn, 0)  # repro: lint-ok\n"
-            "        self.arbiter.release(txn)\n"
+            "        yield self.sim.timeout(1)\n"
+            "        yield 5  # repro: lint-ok\n"
         )
         project = make_project({"bus/asb.py": src})
-        findings = run_rules(project, ["resource-release"])
+        findings = run_rules(project, ["process-yield"])
         blanket = [f for f in findings if f.rule == "suppression"]
         assert blanket and blanket[0].severity is Severity.ERROR
         assert "blanket" in blanket[0].message
-        # And it silenced nothing: the leak is still reported.
-        assert [f for f in findings if f.rule == "resource-release"]
+        # And it silenced nothing: the bad yield is still reported.
+        assert [f for f in findings if f.rule == "process-yield"]
 
 
 class TestReporters:
@@ -145,9 +145,6 @@ class TestSelection:
             "process-yield",
             "engine-contract",
             "fabric-contract",
-            "resource-release",
-            "hold-across-yield",
-            "wait-cycle",
         }
 
     def test_findings_sorted_and_stable(self, make_project):

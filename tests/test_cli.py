@@ -177,11 +177,8 @@ class TestLint:
             "determinism",
             "engine-contract",
             "fabric-contract",
-            "hold-across-yield",
             "process-yield",
-            "resource-release",
             "trace-guard",
-            "wait-cycle",
         ]
 
 
