@@ -15,6 +15,10 @@ a coherence-protocol FSM and the shared bus:
 * **drain side** — :meth:`drain_line` performs the snoop push at DRAIN
   bus priority.
 
+Every exit of a dirty line (DCBST, the snoop push, eviction, DCBF)
+reaches the bus through :meth:`_write_back`, the one place that builds
+a line's ``WRITE_LINE`` tenure.
+
 A single FIFO :class:`~repro.sim.Mutex` (the *port lock*) serialises
 processor-side operations and drains.  This models the single tag/data
 port of the real controllers and — deliberately — reproduces the
@@ -181,7 +185,7 @@ class CacheController:
             if device is not None:
                 device.write_word(addr, value)
             else:
-                yield from self._transact(
+                yield from self.bus.transact(
                     Transaction(BusOp.WRITE, addr, self.name, data=value)
                 )
                 self.stats.bump(self._stat_uncached_writes)
@@ -216,7 +220,7 @@ class CacheController:
                 f"swap at 0x{addr:08x}: atomic exchange is only defined for "
                 "uncached addresses (lock variables are never cached)"
             )
-        result = yield from self._transact(
+        result = yield from self.bus.transact(
             Transaction(BusOp.SWAP, addr, self.name, data=value)
         )
         trace = self._trace_mem
@@ -240,18 +244,10 @@ class CacheController:
             line = self.array.lookup(addr)
             if line is not None and line.state in _DIRTY:
                 base = self.geom.line_base(addr)
-
-                def commit(_result):
-                    if line.state is not _INVALID:
-                        self._set_state(base, line, State.EXCLUSIVE, "dcbst")
-
                 # Retry-first port hold, as in read above.
-                yield from self._transact(
-                    Transaction(
-                        BusOp.WRITE_LINE, base, self.name,
-                        data=line.data, line_words=self.geom.line_words,
-                    ),
-                    commit=commit,
+                yield from self._write_back(
+                    base, line,
+                    lambda: self._set_state(base, line, State.EXCLUSIVE, "dcbst"),
                 )
                 self.stats.bump(self._stat_writebacks)
         finally:
@@ -341,22 +337,13 @@ class CacheController:
         # always matches.)
         snapshot = tuple(line.data)
 
-        def commit(_result):
-            if line.state is _INVALID:
-                return
+        def settle():
             if tuple(line.data) != snapshot:
                 self.stats.bump(self._stat_drain_redirties)
-                return
-            self._apply_snoop_state(base, line, next_state)
+            else:
+                self._apply_snoop_state(base, line, next_state)
 
-        yield from self._transact(
-            Transaction(
-                BusOp.WRITE_LINE, base, self.name,
-                data=line.data, line_words=self.geom.line_words,
-            ),
-            priority=Priority.DRAIN,
-            commit=commit,
-        )
+        yield from self._write_back(base, line, settle, Priority.DRAIN)
         self.stats.bump(self._stat_drains)
 
     # ------------------------------------------------------------------
@@ -367,7 +354,7 @@ class CacheController:
         if device is not None:
             # Tightly-coupled register (coprocessor-style): no bus tenure.
             return device.read_word(addr)
-        result = yield from self._transact(Transaction(BusOp.READ, addr, self.name))
+        result = yield from self.bus.transact(Transaction(BusOp.READ, addr, self.name))
         self.stats.bump(self._stat_uncached_reads)
         return result.data
 
@@ -384,7 +371,7 @@ class CacheController:
         self.stats.bump(self._stat_write_misses)
         kind = self._step(self._protocol_for(region)).write_miss
         if kind is WriteMiss.NO_ALLOCATE:
-            yield from self._transact(Transaction(BusOp.WRITE, addr, self.name, data=value))
+            yield from self.bus.transact(Transaction(BusOp.WRITE, addr, self.name, data=value))
             self.stats.bump(self._stat_write_throughs)
             return
         if kind is WriteMiss.FILL_SHARED:
@@ -421,7 +408,7 @@ class CacheController:
         """The bus work a non-silent write hit owes."""
         if action is WriteAction.WRITE_THROUGH:
             line.data[offset] = value
-            yield from self._transact(Transaction(BusOp.WRITE, addr, self.name, data=value))
+            yield from self.bus.transact(Transaction(BusOp.WRITE, addr, self.name, data=value))
             self.stats.bump(self._stat_write_throughs)
             return
         if action is WriteAction.UPDATE:
@@ -439,7 +426,7 @@ class CacheController:
                 line.data[offset] = value
                 upgraded.append(True)
 
-        yield from self._transact(
+        yield from self.bus.transact(
             Transaction(BusOp.INVALIDATE, base, self.name),
             commit=commit,
             # A competing invalidate can snatch our line while this
@@ -470,7 +457,7 @@ class CacheController:
                     self._set_state(base, line, final, "update")
                 done.append(True)
 
-        yield from self._transact(
+        yield from self.bus.transact(
             Transaction(BusOp.UPDATE, addr, self.name, data=value), commit=commit
         )
         self.stats.bump(self._stat_updates)
@@ -504,7 +491,7 @@ class CacheController:
                     shared=step.shared(result.shared), excl=exclusive,
                 )
 
-        yield from self._transact(
+        yield from self.bus.transact(
             Transaction(op, base, self.name, line_words=self.geom.line_words),
             commit=commit,
         )
@@ -518,59 +505,59 @@ class CacheController:
         commits, so no master can slip in a read of stale memory between
         the eviction decision and the memory update.
         """
-        if victim.state in _DIRTY:
-            def commit(_result):
-                if victim.state is not _INVALID:
-                    victim.state = State.INVALID
-                    self._set_removed(victim_addr, way)
-                    self._notify_remove(victim_addr, "evict")
-
-            yield from self._transact(
-                Transaction(
-                    BusOp.WRITE_LINE, victim_addr, self.name,
-                    data=victim.data, line_words=self.geom.line_words,
-                ),
-                commit=commit,
-            )
-            self.stats.bump(self._stat_writebacks)
-            if victim.state is not _INVALID:
-                # A concurrent drain beat us to the state change; the way
-                # may already be empty — make sure it is.
-                self._set_removed(victim_addr, way)
-        else:
-            victim.state = State.INVALID
-            self._set_removed(victim_addr, way)
+        def settle():
+            victim.state = _INVALID
+            self.array.release_way(victim_addr, way)
             self._notify_remove(victim_addr, "evict")
-        self.stats.bump(self._stat_evictions)
 
-    def _set_removed(self, victim_addr: int, way: int) -> None:
-        self.array.release_way(victim_addr, way)
+        if victim.state in _DIRTY:
+            yield from self._write_back(victim_addr, victim, settle)
+            self.stats.bump(self._stat_writebacks)
+        else:
+            settle()
+        self.stats.bump(self._stat_evictions)
 
     def _flush_locked(self, addr: int, priority: Priority) -> Generator:
         base = self.geom.line_base(addr)
         line = self.array.lookup(base)
         if line is None:
             return
-        if line.state in _DIRTY:
-            def commit(_result):
-                if line.state is not _INVALID:
-                    line.state = State.INVALID
-                    self.array.remove(base)
-                    self._notify_remove(base, "dcbf")
 
-            yield from self._transact(
-                Transaction(
-                    BusOp.WRITE_LINE, base, self.name,
-                    data=line.data, line_words=self.geom.line_words,
-                ),
-                priority=priority,
-                commit=commit,
-            )
-            self.stats.bump(self._stat_writebacks)
-        else:
+        def settle():
             self.array.remove(base)
             self._notify_remove(base, "dcbf")
+
+        if line.state in _DIRTY:
+            yield from self._write_back(base, line, settle, priority)
+            self.stats.bump(self._stat_writebacks)
+        else:
+            settle()
         self.stats.bump(self._stat_flushes)
+
+    def _write_back(
+        self, base: int, line: CacheLine, settle: Callable[[], None],
+        priority: Priority = Priority.NORMAL,
+    ) -> Generator:
+        """Push dirty ``line`` to memory: the one bus exit of a dirty line.
+
+        DCBST, the snoop push, eviction and DCBF all come here.  While
+        the bus is still held, ``settle()`` commits the exit's own state
+        change, unless the line was invalidated while the push waited
+        (a DCBI, or a snoop that took it): then there is nothing left to
+        settle.  Use as ``yield from self._write_back(...)``.
+        """
+        def commit(_result):
+            if line.state is not _INVALID:
+                settle()
+
+        return self.bus.transact(
+            Transaction(
+                BusOp.WRITE_LINE, base, self.name,
+                data=line.data, line_words=self.geom.line_words,
+            ),
+            priority=priority,
+            commit=commit,
+        )
 
     def _commit_snoop(self, held: Tuple[int, CacheLine], next_state: State) -> None:
         self._apply_snoop_state(*held, next_state)
@@ -611,14 +598,3 @@ class CacheController:
         if self.protocol is None:
             raise ProtocolError(f"{self.name}: cache enabled but no protocol configured")
         return self.protocol
-
-    def _transact(
-        self,
-        txn: Transaction,
-        priority: Priority = Priority.NORMAL,
-        commit=None,
-        validate=None,
-    ):
-        return self.bus.transact(
-            txn, priority=priority, commit=commit, validate=validate
-        )

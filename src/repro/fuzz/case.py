@@ -406,8 +406,8 @@ def _run_trace_case(case: FuzzCase) -> CaseResult:
     done = platform.sim.all_of(drivers)
     try:
         platform.sim.run(stop_event=done, max_events=case.max_events)
-        if not done.ok and isinstance(done.value, ConfigError):
-            # A driver refused its trace; the barrier caught the error.
+        if not done.ok:
+            # A driver failed; the barrier caught its error.
             raise done.value
     except DeadlockError as exc:
         return CaseResult("deadlock", str(exc), allowed)

@@ -2,7 +2,7 @@
 
 The kernel's contract (:class:`repro.sim.kernel.Process`) is that a
 process generator yields :class:`Event` instances — timeouts, grant
-events, ``all_of``/``any_of`` combinators — and nothing else.  Yielding
+events, ``all_of`` barriers — and nothing else.  Yielding
 a bare value (``yield 5``, ``yield (a, b)``, a bare ``yield``) raises
 ``SimulationError`` at runtime, but only on the first execution of that
 path; a rarely-taken branch can hide the bug for a long time.  This
@@ -14,8 +14,8 @@ A generator counts as a *process generator* when:
   module (``sim.process(self._drain_worker(...))``), or
 * it yields the result of a kernel-primitive call —
   ``.timeout()``, ``.event()``, ``.request()``, ``.all_of()``,
-  ``.any_of()``, ``.transact()``, ``.wait()`` — which only makes sense
-  inside a process, or
+  ``.transact()``, ``.wait()`` — which only makes sense inside a
+  process, or
 * a known process generator ``yield from``-delegates to it
   (transitively).
 
@@ -40,7 +40,6 @@ _PRIMITIVE_ATTRS = {
     "event",
     "request",
     "all_of",
-    "any_of",
     "transact",
     "wait",
 }

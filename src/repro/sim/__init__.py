@@ -1,7 +1,7 @@
 """Event-driven simulation kernel: scheduler, processes, clocks, tracing."""
 
 from .clock import NS_PER_TICK, Clock, mhz_to_period_ns
-from .kernel import AllOf, AnyOf, Event, Interrupt, Process, Simulator, Timeout
+from .kernel import AllOf, Event, Process, Simulator, Timeout
 from .resources import Mutex
 from .tracing import NullTracer, Stats, TraceRecord, Tracer
 
@@ -10,9 +10,7 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "Interrupt",
     "AllOf",
-    "AnyOf",
     "Clock",
     "NS_PER_TICK",
     "mhz_to_period_ns",

@@ -42,8 +42,6 @@ __all__ = [
     "Process",
     "Simulator",
     "AllOf",
-    "AnyOf",
-    "Interrupt",
 ]
 
 
@@ -176,19 +174,6 @@ class Timeout(Event):
             sim._sequence += 1
 
 
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    ``cause`` carries whatever object the interrupter supplied; processes
-    that never expect interruption simply let it propagate, which fails
-    the process event.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Process(Event):
     """A generator driven by the events it yields.
 
@@ -202,7 +187,7 @@ class Process(Event):
     value, so processes can wait on each other (fork/join).
     """
 
-    __slots__ = ("generator", "name", "daemon", "_waiting_on")
+    __slots__ = ("generator", "name", "daemon")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = "", daemon: bool = False):
         super().__init__(sim)
@@ -212,50 +197,19 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         self.daemon = daemon
         # Kick-start on the current tick, after already-queued events.
-        # The bootstrap is tracked as _waiting_on so an interrupt that
-        # lands before it fires can detach it: otherwise the stale
-        # bootstrap callback would still start the generator after the
-        # Interrupt was delivered, and the first yielded event would
-        # resume it a second time.
         bootstrap = Event(sim)
         bootstrap.add_callback(self._resume)
         bootstrap.succeed()
-        self._waiting_on: Optional[Event] = bootstrap
 
     @property
     def is_alive(self) -> bool:
         """True while the generator has not finished."""
         return not self._triggered and not self._scheduled
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a process whose bootstrap has not fired yet cancels
-        the start: the generator body never runs and the process fails
-        with the :class:`Interrupt` (a fresh generator cannot catch an
-        exception thrown into it).
-        """
-        if not self.is_alive:
-            return
-        target = self._waiting_on
-        if target is not None and not target._triggered:
-            # Detach from whatever we were waiting on.
-            try:
-                target._callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._waiting_on = None
-        # A failed wake throws the Interrupt in through _resume, which
-        # ignores it if the process has finished by then.
-        wake = Event(self.sim)
-        wake.add_callback(self._resume)
-        wake.fail(Interrupt(cause))
-
     # -- driving ----------------------------------------------------------
     def _resume(self, event: Event) -> None:
         if self._triggered or self._scheduled:
             return
-        self._waiting_on = None
         generator = self.generator
         # Events that already fired (a finished process, a mutex grant
         # taken in place) resume the generator in this loop, not by
@@ -280,7 +234,6 @@ class Process(Event):
                     "yield Event instances (use sim.timeout / sim.event)"
                 )
             if not target._triggered:
-                self._waiting_on = target
                 target._callbacks.append(self._resume)
                 return
             event = target
@@ -318,34 +271,6 @@ class AllOf(Event):
 
     def succeed(self, value: Any = None) -> "Event":  # pragma: no cover
         return super().succeed(value)
-
-
-class AnyOf(Event):
-    """Triggers as soon as one child event triggers.
-
-    ``value`` is ``(index, child_value)`` of the first event to fire.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim)
-        events = list(events)
-        if not events:
-            raise SimulationError("AnyOf needs at least one event")
-        for index, event in enumerate(events):
-            event.add_callback(self._make_collector(index))
-
-    def _make_collector(self, index: int) -> Callable[[Event], None]:
-        def collect(event: Event) -> None:
-            if self._triggered or self._scheduled:
-                return
-            if event.ok:
-                self._trigger((index, event.value), ok=True)
-            else:
-                self.fail(event.value)
-
-        return collect
 
 
 #: ``Simulator._horizon`` outside run(), and its ``_allowance`` when
@@ -413,10 +338,6 @@ class Simulator:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Barrier: fires when every event in ``events`` has fired."""
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Race: fires when the first event in ``events`` fires."""
-        return AnyOf(self, events)
 
     # -- scheduling ----------------------------------------------------------
     def advance(self, delay: int) -> bool:

@@ -240,6 +240,49 @@ class TestCacheOps:
         assert sorted(controller.cached_addresses()) == [0x100, 0x200]
 
 
+#: every exit that moves a dirty line at 0x000 to memory:
+#: (the exit's own cause, the access that runs it)
+WRITE_BACK_EXITS = {
+    "dcbst": lambda c: c.writeback_line(0x000),
+    "snoop": lambda c: c.drain_line(0x000, State.SHARED),
+    "evict": lambda c: c.read(0x040),  # same set: evicts 0x000
+    "dcbf": lambda c: c.flush_line(0x000),
+}
+
+
+class TestWriteBackExit:
+    """A line dropped while its write-back waits for the bus stays gone."""
+
+    @pytest.mark.parametrize("cause", sorted(WRITE_BACK_EXITS))
+    def test_line_invalidated_while_push_waits(self, cause):
+        sim, _memory, bus, controller = make_setup(size=64, ways=1)  # 2 sets
+        controller.drain_needs_port = False
+        run(sim, controller.write(0x000, 77))  # M
+        bus.tracer.enable("cache")
+        removed = []
+        controller.remove_listeners.append(removed.append)
+        waiting = []
+
+        def invalidator():
+            yield sim.timeout(1)  # the peer holds the bus by now
+            waiting.extend(
+                t.op for t in bus.inflight_tenures() if t.master == "cpu0"
+            )
+            controller.invalidate_line(0x000)  # DCBI: takes no port
+
+        sim.process(bus.transact(Transaction(BusOp.READ, UNCACHED, "peer")))
+        sim.process(WRITE_BACK_EXITS[cause](controller))
+        sim.process(invalidator())
+        sim.run()
+        assert waiting == [BusOp.WRITE_LINE.value]
+        assert controller.array.lookup(0x000) is None
+        assert removed == [0x000]
+        assert not [
+            r for r in bus.tracer.find(channel="cache")
+            if r.fields.get("cause") == cause
+        ]
+
+
 def snooped(op, addr, **kwargs):
     return Transaction(op, addr, "peer", **kwargs)
 

@@ -13,6 +13,7 @@ from repro.fuzz.case import (
     explicit_workload,
     run_case,
 )
+from repro.fuzz.gen import CaseGenerator
 
 # A configuration known to violate coherence deterministically: MEI has
 # no shared state, so an unwrapped MESI+MEI pair races to stale reads.
@@ -175,6 +176,17 @@ class TestRunCase:
         result = run_case(case)
         assert result.outcome == "error"
         assert not result.expected
+
+    def test_driver_failure_classifies_the_case(self):
+        # Seed-0 campaign case 13: a retry.storm fault drives p0's
+        # read-line-excl past the ARTRY ceiling, so the driver raises
+        # LivelockError under the all_of barrier.  The barrier's error
+        # must classify the case, not the coherence checker alone.
+        case = CaseGenerator(seed=0).case(13)
+        assert case.fault["site"] == "retry.storm"
+        result = run_case(case)
+        assert result.outcome == "livelock"
+        assert result.expected
 
     def test_result_round_trips_to_dict(self):
         result = run_case(VIOLATING)

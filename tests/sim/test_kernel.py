@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim import AllOf, AnyOf, Interrupt, Simulator
+from repro.sim import AllOf, Simulator
 
 
 @pytest.fixture
@@ -197,75 +197,6 @@ class TestProcess:
         with pytest.raises(RuntimeError):
             sim.run()
 
-    def test_interrupt_wakes_process(self, sim):
-        log = []
-
-        def sleeper():
-            try:
-                yield sim.timeout(1000)
-            except Interrupt as intr:
-                log.append((sim.now, intr.cause))
-
-        p = sim.process(sleeper())
-
-        def interrupter():
-            yield sim.timeout(5)
-            p.interrupt("wake")
-
-        sim.process(interrupter())
-        sim.run()
-        assert log == [(5, "wake")]
-
-    def test_interrupt_dead_process_is_noop(self, sim):
-        def quick():
-            yield sim.timeout(1)
-
-        p = sim.process(quick())
-        sim.run()
-        p.interrupt("late")  # must not raise
-
-    def test_interrupt_before_start_cancels_bootstrap(self, sim):
-        """Interrupting before the bootstrap fired must not start the body.
-
-        Regression: the bootstrap callback used to stay attached, so the
-        generator was started *after* the Interrupt was delivered, and
-        its first yielded event resumed the finished generator a second
-        time ("event triggered twice").
-        """
-        log = []
-
-        def victim():
-            log.append("started")
-            yield sim.timeout(10)
-
-        p = sim.process(victim())
-        p.interrupt("early")
-        p.add_callback(lambda _e: None)  # observe the failure
-        sim.run()
-        assert log == []
-        assert p.triggered and not p.ok
-        assert isinstance(p.value, Interrupt)
-        assert p.value.cause == "early"
-
-    def test_interrupt_before_start_no_double_resume(self, sim):
-        """The old crash path: catchable-interrupt victim, early interrupt."""
-        log = []
-
-        def victim():
-            try:
-                yield sim.timeout(10)
-                log.append("slept")
-            except Interrupt:
-                log.append("interrupted")
-                yield sim.timeout(5)
-                log.append("resumed")
-
-        p = sim.process(victim())
-        p.interrupt("early")
-        p.add_callback(lambda _e: None)
-        sim.run()  # used to raise SimulationError("event triggered twice")
-        assert "slept" not in log
-
     def test_is_alive_lifecycle(self, sim):
         def proc():
             yield sim.timeout(5)
@@ -294,28 +225,6 @@ class TestAlreadyFiredEvents:
         p = sim.process(proc())
         sim.run()
         assert p.value == (5000, "ok", 0)
-
-    def test_interrupt_handler_yielding_fired_events(self, sim):
-        fired = sim.event()
-        fired.succeed()
-
-        def victim():
-            try:
-                yield sim.timeout(100)
-            except Interrupt as intr:
-                for _ in range(5000):
-                    yield fired
-                return intr.cause, sim.now
-
-        p = sim.process(victim())
-
-        def interrupter():
-            yield sim.timeout(5)
-            p.interrupt("wake")
-
-        sim.process(interrupter())
-        sim.run()
-        assert p.value == ("wake", 5)
 
     def test_failed_fired_event_is_thrown_in(self, sim):
         failed = sim.event()
@@ -360,26 +269,6 @@ class TestCombinators:
         sim.process(joiner())
         sim.run()
         assert done == [0]
-
-    def test_any_of_returns_first(self, sim):
-        def worker(n):
-            yield sim.timeout(n)
-            return n
-
-        procs = [sim.process(worker(n)) for n in (30, 10, 20)]
-        got = []
-
-        def racer():
-            index, value = yield sim.any_of(procs)
-            got.append((sim.now, index, value))
-
-        sim.process(racer())
-        sim.run()
-        assert got == [(10, 1, 10)]
-
-    def test_any_of_empty_rejected(self, sim):
-        with pytest.raises(SimulationError):
-            sim.any_of([])
 
 
 class TestRun:
@@ -484,8 +373,8 @@ class TestRun:
 class TestSlots:
     """Kernel event types must stay slotted (no per-instance __dict__).
 
-    Regression: AnyOf omitted __slots__, silently reintroducing a
-    __dict__ on every instance of the hottest combinator.
+    Regression: a combinator once omitted __slots__, silently
+    reintroducing a __dict__ on every one of its instances.
     """
 
     def test_kernel_event_types_have_no_dict(self, sim):
@@ -497,7 +386,6 @@ class TestSlots:
             sim.timeout(3),
             sim.process(gen()),
             AllOf(sim, [sim.event()]),
-            AnyOf(sim, [sim.event()]),
         ]
         for instance in instances:
             assert not hasattr(instance, "__dict__"), type(instance).__name__
@@ -506,7 +394,7 @@ class TestSlots:
         from repro.sim import kernel
 
         for cls in (kernel.Event, kernel.Timeout, kernel.Process,
-                    kernel.AllOf, kernel.AnyOf):
+                    kernel.AllOf):
             assert "__slots__" in cls.__dict__, cls.__name__
 
 
@@ -551,43 +439,6 @@ class TestCombinatorFailure:
         sim.process(failer(), daemon=True)
         sim.run()
         assert caught == ["first"]
-
-    def test_any_of_propagates_child_failure(self, sim):
-        bad = sim.event()
-        slow = sim.timeout(50)
-        caught = []
-
-        def racer():
-            try:
-                yield sim.any_of([slow, bad])
-            except ValueError as exc:
-                caught.append((sim.now, str(exc)))
-
-        def failer():
-            yield sim.timeout(3)
-            bad.fail(ValueError("lost"))
-
-        sim.process(racer())
-        sim.process(failer(), daemon=True)
-        sim.run()
-        assert caught == [(3, "lost")]
-
-    def test_any_of_success_beats_later_failure(self, sim):
-        bad = sim.event()
-        fast = sim.timeout(1)
-        got = []
-
-        def racer():
-            got.append((yield sim.any_of([fast, bad])))
-
-        def failer():
-            yield sim.timeout(10)
-            bad.fail(RuntimeError("too late"))
-
-        sim.process(racer())
-        sim.process(failer(), daemon=True)
-        sim.run()
-        assert got == [(0, None)]
 
 
 class TestRunUntilBoundaries:
